@@ -12,6 +12,8 @@ bitstrings (",0,10" encodes ((), (0,), (1,0))).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 AlphaVector = tuple[int, ...]
 ParameterSequence = tuple[AlphaVector, ...]
 
@@ -25,13 +27,25 @@ def invert(x: int, m: int) -> int:
     return x ^ ((1 << m) - 1)
 
 
+# _REV8[b] is the byte b with its 8 bits in reverse order.
+_REV8 = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reverse_bits(x: int, m: int) -> int:
+    """Reverse the low m bits of x, a byte at a time; x must fit in m bits."""
+    r = 0
+    nbytes = (m + 7) >> 3
+    for _ in range(nbytes):
+        r = (r << 8) | _REV8[x & 0xFF]
+        x >>= 8
+    return r >> ((nbytes << 3) - m)
+
+
 def reverse(x: int, m: int) -> int:
     """Reverse the positions 1..m of x."""
     if x >> m:
         raise ValueError(f"value {x:#x} does not fit in {m} bits")
-    if m == 0:
-        return 0
-    return int(format(x, f"0{m}b")[::-1], 2)
+    return _reverse_bits(x, m)
 
 
 def reverse_invert(x: int, m: int) -> int:
@@ -44,6 +58,21 @@ def concat(x: int, mx: int, y: int) -> int:
     return x | (y << mx)
 
 
+def _swap_pairs(x: int, mask: int) -> int:
+    """Swap each bit pair of x whose low bit is set in mask (odd indices)."""
+    # d marks the selected pairs whose two bits differ; its bits sit at
+    # odd indices only, so d * 3 == d | d << 1 flips both bits of each
+    d = ((x >> 1) ^ x) & mask
+    return x ^ d * 3
+
+
+@lru_cache(maxsize=4096)
+def pair_mask(alpha: AlphaVector) -> int:
+    """The low bits of the pairs pi_alpha swaps: bit index 2i-1 (position
+    2i) for every i with alpha(i)=1."""
+    return sum(1 << (2 * i - 1) for i, a in enumerate(alpha, start=1) if a)
+
+
 def pi_alpha(alpha: AlphaVector, x: int) -> int:
     """Swap bits at positions 2i and 2i+1 for every i with alpha(i)=1.
 
@@ -53,12 +82,7 @@ def pi_alpha(alpha: AlphaVector, x: int) -> int:
     n = len(alpha) + 1
     if x >> (2 * n):
         raise ValueError(f"expected a bitstring of length {2 * n}")
-    for i, a in enumerate(alpha, start=1):
-        if a:
-            lo = 2 * i - 1  # bit index of position 2i
-            if ((x >> lo) ^ (x >> (lo + 1))) & 1:
-                x ^= 3 << lo
-    return x
+    return _swap_pairs(x, pair_mask(alpha))
 
 
 def f_alpha(alpha: AlphaVector, x: int) -> int:
@@ -67,8 +91,10 @@ def f_alpha(alpha: AlphaVector, x: int) -> int:
     Carries bitstrings of length 2n and weight k to weight 2n-k, and is an
     isomorphism between the layers (n,n+1) and (n-1,n) of the 2n-cube.
     """
-    n = len(alpha) + 1
-    return reverse_invert(pi_alpha(alpha, x), 2 * n)
+    m = 2 * len(alpha) + 2
+    if x >> m:
+        raise ValueError(f"expected a bitstring of length {m}")
+    return _reverse_bits(_swap_pairs(x, pair_mask(alpha)), m) ^ ((1 << m) - 1)
 
 
 def tau_alpha(alpha_prime: AlphaVector, x: int) -> int:

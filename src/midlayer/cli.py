@@ -25,6 +25,15 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 
+def _at_least_one(**values: int) -> bool:
+    """True if every value is >= 1; otherwise report the first that is not."""
+    for name, value in values.items():
+        if value < 1:
+            print(f"error: --{name} must be at least 1, got {value}", file=sys.stderr)
+            return False
+    return True
+
+
 def cmd_build(args) -> int:
     try:
         seq = parse_sequence(args.alpha)
@@ -58,6 +67,8 @@ def cmd_build(args) -> int:
 
 def cmd_table1(args) -> int:
     n_max = args.n
+    if not _at_least_one(n=n_max, workers=args.workers):
+        return EXIT_PARSE
     if n_max > 7:
         print("error: counts are embedded only through n=7", file=sys.stderr)
         return EXIT_PARSE
@@ -136,6 +147,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if not _at_least_one(n=args.n, budget=args.budget):
+        return EXIT_PARSE
     results = SUITES[args.mode](args.n, args.budget)
     code = EXIT_OK
     for res in results:
@@ -152,6 +165,8 @@ def cmd_verify(args) -> int:
 
 def cmd_trees(args) -> int:
     n = args.n
+    if not _at_least_one(n=n):
+        return EXIT_PARSE
     if n > 30:
         print("error: counts are exact only through n=30", file=sys.stderr)
         return EXIT_PARSE

@@ -7,21 +7,44 @@ builds the 2-factor of the middle layer of the (2n+1)-cube out of the
 middle family and a level-n alpha vector, then splits it back into the
 families of the next level.
 
-Vertices are ints (see bitcube), paths are tuples of vertex ints, and a
-family is a tuple of paths sorted by first vertex.  Each cycle of the
-2-factor alternates between whole stored paths suffixed with 0 and
-reversed f_alpha images suffixed with 1; assembly therefore reduces to a
-permutation on the middle family and concatenation of its blocks, and the
-cycle lengths to the orbit sizes of that permutation.
+Vertices are ints (see bitcube) and paths are tuples of vertex ints.
+Each cycle of the 2-factor alternates between whole stored paths
+suffixed with 0 and reversed f_alpha images suffixed with 1; assembly
+therefore reduces to a permutation on the middle family and concatenation
+of its blocks, and the cycle lengths to the orbit sizes of that
+permutation.
+
+That permutation reads only the first and last vertex of each path, so a
+state stores each path as its endpoint triple (first, second, last).
+Triples are closed under the level step: a path shifted into a copy of
+the cube is its triple OR the shift, and the arc that replaces path i of
+the middle family is (p[1], p[1] | s01, first of path succ[i] | s01).  A
+level step and a cycle spectrum therefore cost O(#paths), not
+O(#vertices).  Full paths are needed only to assemble cycles and to check
+path structure.  They are built on demand, only for the families asked
+for, by replaying the level steps from the nearest ancestor state that
+has them with the permutations those steps stored, and are kept in the
+state asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Callable
 
 from . import lattice
-from .bitcube import AlphaVector, ParameterSequence, f_alpha
+from .bitcube import (
+    AlphaVector,
+    ParameterSequence,
+    _swap_pairs,
+    f_alpha,
+    pair_mask,
+    reverse_invert,
+)
+
+Path = tuple[int, ...]
+Ends = tuple[int, int, int]  # (first, second, last) vertex of a path
 
 
 class ConstructionError(Exception):
@@ -32,15 +55,42 @@ class ConstructionError(Exception):
 class ConstructionState:
     """Path families of one level for one alpha prefix.
 
-    families maps k to the family in layer (k, k+1) of the 2n-cube, for
-    k = n .. min(2n-1, k_cap); a k_cap prunes layers that a build toward
-    a fixed target level never reads again.
+    ends maps k to the family in layer (k, k+1) of the 2n-cube, for
+    k = n .. min(2n-1, k_cap), each path given by its endpoint triple and
+    the family sorted by first vertex; a k_cap prunes layers that a build
+    toward a fixed target level never reads again.  origin is the level
+    step that made the state: the parent state, its alpha and the
+    permutations succ and phat of the parent's middle family (None at
+    level 1).  Make states only through base_state, state_for_prefix and
+    split_state: a state built by hand from full paths in ends would be
+    read as wrong triples.
     """
 
     n: int
-    families: dict[int, tuple[tuple[int, ...], ...]]
+    ends: dict[int, tuple[Ends, ...]]
     alpha_prefix: ParameterSequence
     k_cap: int | None = None
+    origin: tuple[ConstructionState, AlphaVector, list[int], list[int]] | None = field(
+        default=None, compare=False, repr=False
+    )
+    _paths: dict[int, tuple[Path, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    @cached_property
+    def families(self) -> dict[int, tuple[Path, ...]]:
+        """The full paths of every family, sorted by first vertex."""
+        paths = _full_paths(self, set(self.ends))
+        return {k: paths[k] for k in sorted(paths)}
+
+    @cached_property
+    def _endpoint_maps(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Index in the middle family of each first and each last vertex."""
+        fam = self.ends[self.n]
+        return (
+            {t[0]: i for i, t in enumerate(fam)},
+            {t[2]: i for i, t in enumerate(fam)},
+        )
 
 
 @dataclass(frozen=True)
@@ -58,16 +108,37 @@ class TwoFactor:
 
 def base_state(k_cap: int | None = None) -> ConstructionState:
     """Level 1: the single oriented path 10 -> 11 -> 01 in the 2-cube."""
-    return ConstructionState(1, {1: ((0b01, 0b11, 0b10),)}, (), k_cap)
+    path = (0b01, 0b11, 0b10)
+    return ConstructionState(1, {1: (path,)}, (), k_cap, _paths={1: (path,)})
+
+
+@lru_cache(maxsize=None)
+def _reverse_inverted(n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """reverse_invert on the possible first vertices and on the possible
+    last vertices of level-n middle families."""
+    m = 2 * n
+    return (
+        {x: reverse_invert(x, m) for x in lattice.dyck_bitstrings(m)},
+        {x: reverse_invert(x, m) for x in lattice.dminus_bitstrings(m)},
+    )
 
 
 @lru_cache(maxsize=4096)
 def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[dict[int, int], dict[int, int]]:
     """Per (n, alpha): f_alpha on the possible first vertices and the
-    inverse of f_alpha on the possible last vertices of middle families."""
-    fb = {x: f_alpha(alpha, x) for x in lattice.dyck_bitstrings(2 * n)}
-    rev = alpha[::-1]
-    lb = {x: f_alpha(rev, x) for x in lattice.dminus_bitstrings(2 * n)}
+    inverse of f_alpha on the possible last vertices of middle families.
+
+    Reversal carries the pair at positions (2i, 2i+1) to the pair n-i, so
+    f_alpha(alpha, x) = pi_alpha(alpha[::-1], reverse_invert(x)): with the
+    reversals kept per n, only the pair swap depends on alpha.
+    """
+    firsts, lasts = _reverse_inverted(n)
+    # fb is f_alpha(alpha, .); lb is its inverse f_alpha(alpha[::-1], .),
+    # whose pair swap is alpha's own
+    mf = pair_mask(alpha[::-1])
+    ml = pair_mask(alpha)
+    fb = {x: _swap_pairs(r, mf) for x, r in firsts.items()}
+    lb = {x: _swap_pairs(r, ml) for x, r in lasts.items()}
     return fb, lb
 
 
@@ -83,19 +154,14 @@ def _successors(
         raise ConstructionError(
             f"alpha has length {len(alpha)}, expected {n - 1}"
         )
-    fam = state.families.get(n)
+    fam = state.ends.get(n)
     if fam is None:
         raise ConstructionError(f"state has no middle family at level {n}")
-    fmap = {p[0]: i for i, p in enumerate(fam)}
-    lmap = {p[-1]: i for i, p in enumerate(fam)}
+    fmap, lmap = state._endpoint_maps
     fb, lb = _alpha_tables(n, alpha)
-    phat: list[int] = []
-    succ: list[int] = []
     try:
-        for p in fam:
-            j = lmap[lb[p[-1]]]
-            phat.append(j)
-            succ.append(fmap[fb[fam[j][0]]])
+        phat = [lmap[lb[t[2]]] for t in fam]
+        succ = [fmap[fb[fam[j][0]]] for j in phat]
     except KeyError as exc:  # pragma: no cover - guards a construction bug
         raise ConstructionError(
             f"f_alpha image {exc.args[0]} is not a family endpoint"
@@ -116,8 +182,8 @@ def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFact
     """Glue the middle family, its f_alpha image, and the endpoint matching
     into the 2-factor of the middle layer of the (2n+1)-cube."""
     n = state.n
-    fam = state.families[n]
     succ, phat = _successors(state, alpha)
+    fam = _full_paths(state, {n})[n]
     top = 1 << (2 * n)
     visited = [False] * len(fam)
     cycles = []
@@ -167,50 +233,100 @@ def cycle_spectrum(state: ConstructionState, alpha: AlphaVector) -> dict[int, in
 def _advance(state: ConstructionState, alpha: AlphaVector) -> ConstructionState:
     """Build the level n+1 families from the level n state and alpha."""
     n = state.n
-    fam = state.families[n]
+    fam = state.ends[n]
     succ, phat = _successors(state, alpha)
-    m = 2 * n
-    s10 = 1 << m
-    s01 = 1 << (m + 1)
-    s11 = 3 << m
-
+    s01 = 2 << (2 * n)
     # Each deleted first edge of the 2-factor leaves an arc from the old
     # second vertex to the next first vertex; prepend the matching edge
     # into the 00-copy and push the arc into the 1-copies.
-    new_paths = []
-    for i, p in enumerate(fam):
-        arc = (
-            (p[1],)
-            + tuple(v | s01 for v in p[1:])
-            + tuple(f_alpha(alpha, v) | s11 for v in reversed(fam[phat[i]]))
-            + (fam[succ[i]][0] | s01,)
-        )
-        new_paths.append(arc)
-
-    get = lambda k: state.families.get(k, ())
+    arcs = lambda: [(p[1], p[1] | s01, fam[j][0] | s01) for p, j in zip(fam, succ)]
+    shift = lambda fam, s: [(a | s, b | s, c | s) for a, b, c in fam]
     kmax = 2 * n + 1
     if state.k_cap is not None:
         kmax = min(kmax, state.k_cap)
-    families: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for k in range(n + 1, kmax + 1):
-        if k == n + 1:
-            parts = (
-                list(get(n + 1))
-                + [tuple(v | s10 for v in p) for p in get(n)]
-                + new_paths
-            )
-        else:
-            parts = (
-                list(get(k))
-                + [tuple(v | s10 for v in p) for p in get(k - 1)]
-                + [tuple(v | s01 for v in p) for p in get(k - 1)]
-                + [tuple(v | s11 for v in p) for p in get(k - 2)]
-            )
-        parts.sort(key=lambda p: p[0])
-        families[k] = tuple(parts)
+    ends = {
+        k: _next_family(n, k, lambda j: state.ends.get(j, ()), shift, arcs)
+        for k in range(n + 1, kmax + 1)
+    }
     return ConstructionState(
-        n + 1, families, state.alpha_prefix + (alpha,), state.k_cap
+        n + 1, ends, state.alpha_prefix + (alpha,), state.k_cap,
+        origin=(state, alpha, succ, phat),
     )
+
+
+def _next_family(
+    n: int,
+    k: int,
+    get: Callable[[int], tuple],
+    shift: Callable[[tuple, int], list],
+    arcs: Callable[[], list],
+) -> tuple:
+    """Family k of level n+1 from the level-n families get(j): family k,
+    family k-1 shifted into the 10-copy, and either the arcs() that replace
+    the middle family (k = n+1) or family k-1 in the 01-copy and family
+    k-2 in the 11-copy.  The same rule serves triples and full paths."""
+    m = 2 * n
+    parts = list(get(k)) + shift(get(k - 1), 1 << m)
+    if k == n + 1:
+        parts += arcs()
+    else:
+        parts += shift(get(k - 1), 2 << m) + shift(get(k - 2), 3 << m)
+    parts.sort()  # first vertices are distinct, so this sorts by them
+    return tuple(parts)
+
+
+def _full_paths(
+    state: ConstructionState, wanted: set[int]
+) -> dict[int, tuple[Path, ...]]:
+    """Full paths of the families in wanted, kept in the state.
+
+    Walks up the origins to the nearest state that has the paths needed,
+    then expands them level by level by the rule _advance applied to their
+    triples, reusing each step's succ and phat.  A level-n+1 family k
+    needs the parent's families k, k-1 and k-2 (the middle family n for
+    k = n+1), and only the families needed are expanded.  Intermediate
+    levels are not kept, so at most two levels of paths are held at once.
+    """
+    chain = []
+    top, need = state, set(wanted)
+    while not need <= top._paths.keys():
+        if top.origin is None:
+            raise ConstructionError(
+                f"state at level {top.n} has no origin and no stored paths "
+                f"for families {sorted(need - top._paths.keys())}"
+            )
+        chain.append((top, need))
+        top = top.origin[0]
+        need = {j for k in need for j in (k, k - 1, k - 2)} & top.ends.keys()
+    paths = {k: top._paths[k] for k in need}
+    for child, need in reversed(chain):
+        paths = _expand_level(child, need, paths)
+    state._paths.update(paths)
+    return paths
+
+
+def _expand_level(
+    state: ConstructionState, need: set[int], parent: dict[int, tuple[Path, ...]]
+) -> dict[int, tuple[Path, ...]]:
+    """Full paths of the state's families in need, from the full paths of
+    its parent's families."""
+    _, alpha, succ, phat = state.origin
+    n = state.n - 1
+    s01 = 2 << (2 * n)
+    s11 = 3 << (2 * n)
+    mid = parent.get(n, ())
+    arcs = lambda: [
+        (p[1],)
+        + tuple(v | s01 for v in p[1:])
+        + tuple(f_alpha(alpha, v) | s11 for v in reversed(mid[phat[i]]))
+        + (mid[succ[i]][0] | s01,)
+        for i, p in enumerate(mid)
+    ]
+    shift = lambda fam, s: [tuple(v | s for v in p) for p in fam]
+    return {
+        k: _next_family(n, k, lambda j: parent.get(j, ()), shift, arcs)
+        for k in need
+    }
 
 
 def split_state(
@@ -249,9 +365,9 @@ def build(seq: ParameterSequence, k_cap: int | None = None) -> TwoFactor:
 
 def fsl_sets(state: ConstructionState, k: int) -> tuple[set[int], set[int], set[int]]:
     """First, second and last vertex sets of family k."""
-    fam = state.families[k]
+    fam = state.ends[k]
     return (
-        {p[0] for p in fam},
-        {p[1] for p in fam},
-        {p[-1] for p in fam},
+        {t[0] for t in fam},
+        {t[1] for t in fam},
+        {t[2] for t in fam},
     )

@@ -46,6 +46,10 @@ class SearchJob:
     exhaustive_bound: int = 7
 
     def __post_init__(self) -> None:
+        for name in ("n", "workers", "limit", "budget"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.mode not in ("exhaustive", "random", "targeted"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "exhaustive" and self.n > self.exhaustive_bound:
@@ -142,33 +146,29 @@ def iter_random(
 ) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
     """Endless seeded stream of (index, sequence, spectrum)."""
     rng = Random(seed)
-    cache: dict[ParameterSequence, ConstructionState] = {}
     idx = 0
     while True:
         seq = random_sequence(rng, n)
         if idx >= start:
-            # share construction work across the shallow, often-repeated
-            # prefix levels; deep states are too rare to be worth keeping
-            depth = min(n - 1, 5)
-            head = seq[:depth]
-            state = cache.get(head)
-            if state is None:
-                state = state_for_prefix(head, k_cap=n)
-                if len(cache) < 512:
-                    cache[head] = state
-            for alpha in seq[depth:-1]:
-                state = _advance(state, alpha)
+            state = state_for_prefix(seq[:-1], k_cap=n)
             yield idx, seq, cycle_spectrum(state, seq[-1])
         idx += 1
 
 
 # --- parallel exhaustive sweep -----------------------------------------------
 
+# The sweep is cut into at least this many subtrees per worker, so that no
+# task holds more than a small share of the sweep's records at once and the
+# first records arrive after a small share of its time.
+TASKS_PER_WORKER = 4
+
+
 def _split_level(n: int, workers: int) -> int:
-    """Shallowest level whose prefix count reaches the worker count."""
+    """Shallowest level with at least TASKS_PER_WORKER * workers prefixes,
+    or n if no level below n has that many."""
     count = 1
     for level in range(1, n):
-        if count >= workers:
+        if count >= TASKS_PER_WORKER * workers:
             return level
         count <<= level - 1
     return n
@@ -189,27 +189,32 @@ def _worker_sweep(args) -> list[tuple[int, ParameterSequence, dict[int, int]]]:
     )
 
 
+def _sweep_tasks(n: int, workers: int, start: int = 0) -> list[tuple]:
+    """Worker tasks of a parallel sweep from index start, in index order:
+    one subtree each, split at _split_level(n, workers)."""
+    level = _split_level(n, workers)
+    sub = _leaves_below(level, n)
+    return [
+        (n, prefix, i * sub, start)
+        for i, prefix in enumerate(_prefixes_at(level))
+        if (i + 1) * sub > start
+    ]
+
+
 def iter_exhaustive_parallel(
     n: int, workers: int, start: int = 0
 ) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
     """Same stream as iter_exhaustive, produced by a worker pool.
 
-    The prefix tree is split at the shallowest level with >= workers
-    subtrees; record order is preserved by consuming subtrees in index
-    order.
+    The prefix tree is split at the shallowest level with at least
+    TASKS_PER_WORKER subtrees per worker, one task per subtree; record
+    order is preserved by consuming subtrees in index order.
     """
     if workers <= 1:
         yield from iter_exhaustive(n, start=start)
         return
-    level = _split_level(n, workers)
-    sub = _leaves_below(level, n)
-    tasks = []
-    for i, prefix in enumerate(_prefixes_at(level)):
-        lo = i * sub
-        if lo + sub > start:
-            tasks.append((n, prefix, lo, start))
     with multiprocessing.Pool(workers) as pool:
-        for chunk in pool.imap(_worker_sweep, tasks):
+        for chunk in pool.imap(_worker_sweep, _sweep_tasks(n, workers, start)):
             yield from chunk
 
 
@@ -299,7 +304,9 @@ def run_search(job: SearchJob, out_path=None, keep_records: bool = False) -> Sea
                     break
                 if summary.evaluated >= job.budget:
                     break
-            elif summary.evaluated >= (job.limit or job.budget):
+            elif summary.evaluated >= (
+                job.budget if job.limit is None else job.limit
+            ):
                 break
     finally:
         if out is not None:

@@ -1,4 +1,6 @@
-from hypothesis import given
+from itertools import product
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midlayer.bitcube import (
@@ -161,3 +163,47 @@ def test_sequence_length_validation():
         parse_sequence(",00")
     with pytest.raises(ValueError):
         parse_sequence("1")
+
+
+def f_alpha_reference(alpha, x):
+    """f_alpha spelled out on the textual form: swap the selected pairs of
+    positions, reverse the string, complement every character."""
+    m = 2 * (len(alpha) + 1)
+    text = list(format_bits(x, m))
+    for i, a in enumerate(alpha, start=1):
+        if a:  # positions 2i and 2i+1 are string indices 2i-1 and 2i
+            text[2 * i - 1], text[2 * i] = text[2 * i], text[2 * i - 1]
+    flipped = "".join("1" if c == "0" else "0" for c in reversed(text))
+    return parse_bits(flipped)[0]
+
+
+def test_f_alpha_matches_reference_exhaustively():
+    for n in range(1, 7):
+        for alpha in product((0, 1), repeat=n - 1):
+            for x in range(1 << (2 * n)):
+                assert f_alpha(alpha, x) == f_alpha_reference(alpha, x)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st.integers(min_value=7, max_value=10).flatmap(
+        lambda n: st.tuples(
+            st.tuples(*[st.integers(0, 1)] * (n - 1)),
+            st.integers(0, (1 << (2 * n)) - 1),
+        )
+    )
+)
+def test_f_alpha_matches_reference_sampled(args):
+    alpha, x = args
+    assert f_alpha(alpha, x) == f_alpha_reference(alpha, x)
+
+
+def test_reverse_matches_reference():
+    for m in (1, 7, 8, 9, 16, 24, 25, 40):
+        for x in (0, 1, (1 << m) - 1, 0x5A5A5A5A5A & ((1 << m) - 1)):
+            assert reverse(x, m) == int(format(x, f"0{m}b")[::-1], 2)
+
+
+def test_f_alpha_length_check():
+    with pytest.raises(ValueError):
+        f_alpha((1,), 0b10000)

@@ -77,3 +77,62 @@ def test_trees_command(capsys):
     out = capsys.readouterr().out
     assert "14" in out and "3" in out and "1" in out
     assert main(["trees", "--n", "31"]) == 2
+
+
+def test_search_rejects_level_zero(capsys):
+    assert main(["search", "--n", "0"]) == 2
+
+
+def test_verify_rejects_level_zero(capsys):
+    assert main(["verify", "--n", "0", "--mode", "parity"]) == 2
+
+
+def test_verify_rejects_zero_budget(capsys):
+    assert main(["verify", "--n", "8", "--mode", "parity", "--budget", "0"]) == 2
+
+
+def test_trees_rejects_zero_edges(capsys):
+    assert main(["trees", "--n", "0"]) == 2
+
+
+def test_table1_rejects_level_zero(capsys):
+    assert main(["table1", "--n", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_search_rejects_workers_below_one(capsys):
+    assert main(["search", "--n", "3", "--workers", "0"]) == 2
+    assert main(["search", "--n", "3", "--workers", "-2"]) == 2
+
+
+def test_table1_rejects_workers_below_one(capsys):
+    assert main(["table1", "--n", "3", "--workers", "0"]) == 2
+    assert main(["table1", "--n", "3", "--workers", "-2"]) == 2
+
+
+def test_random_search_rejects_zero_limit(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    code = main([
+        "search", "--n", "3", "--mode", "random", "--seed", "1",
+        "--limit", "0", "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_targeted_search_rejects_zero_limit(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    code = main([
+        "search", "--n", "3", "--mode", "targeted", "--seed", "1",
+        "--target", "1", "--limit", "0", "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_targeted_search_rejects_zero_budget(capsys):
+    code = main([
+        "search", "--n", "3", "--mode", "targeted", "--seed", "1",
+        "--target", "1", "--budget", "0",
+    ])
+    assert code == 2

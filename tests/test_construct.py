@@ -1,8 +1,16 @@
-import pytest
+from itertools import product
 
-from midlayer.bitcube import parse_bits, parse_sequence
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from midlayer import lattice
+from midlayer.analysis import spectrum, verify_two_factor
+from midlayer.bitcube import f_alpha, parse_bits, parse_sequence
 from midlayer.construct import (
     ConstructionError,
+    ConstructionState,
+    _alpha_tables,
     assemble_two_factor,
     base_state,
     build,
@@ -61,6 +69,7 @@ def test_split_level_one():
     top = tuple(bits(t) for t in ("1011", "1111", "0111"))
     assert s2.families == {2: (arc, short), 3: (top,)}
     assert s2.alpha_prefix == ((),)
+    assert state_for_prefix(((),)).families == {2: (arc, short), 3: (top,)}
 
 
 def test_split_rejects_mismatched_two_factor():
@@ -148,3 +157,57 @@ def test_state_families_sorted_by_first_vertex():
 def test_alpha_length_check():
     with pytest.raises(ConstructionError):
         cycle_spectrum(base_state(), (0,))
+
+
+def all_sequences(n):
+    return product(*[product((0, 1), repeat=level - 1) for level in range(1, n + 1)])
+
+
+def test_endpoint_spectrum_matches_built_cycles_exhaustively():
+    for n in range(1, 6):
+        for s in all_sequences(n):
+            state = state_for_prefix(s[:-1], k_cap=n)
+            assert cycle_spectrum(state, s[-1]) == dict(spectrum(build(s)).entries)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=6, max_value=8).flatmap(
+        lambda n: st.tuples(
+            *[st.tuples(*[st.integers(0, 1)] * (level - 1)) for level in range(1, n + 1)]
+        )
+    )
+)
+def test_endpoint_spectrum_matches_built_cycles_sampled(s):
+    tf = build(s)
+    assert verify_two_factor(tf).ok
+    state = state_for_prefix(s[:-1], k_cap=len(s))
+    assert cycle_spectrum(state, s[-1]) == dict(spectrum(tf).entries)
+
+
+def test_full_paths_end_at_their_triples():
+    s = state_for_prefix(((), (1,), (0, 1)))
+    assert set(s.families) == set(s.ends)
+    for k, fam in s.families.items():
+        assert [(p[0], p[1], p[-1]) for p in fam] == list(s.ends[k])
+
+
+def test_alpha_tables_match_f_alpha():
+    for n in range(1, 7):
+        firsts = lattice.dyck_bitstrings(2 * n)
+        lasts = lattice.dminus_bitstrings(2 * n)
+        for alpha in product((0, 1), repeat=n - 1):
+            fb, lb = _alpha_tables(n, alpha)
+            assert fb == {x: f_alpha(alpha, x) for x in firsts}
+            assert lb == {x: f_alpha(alpha[::-1], x) for x in lasts}
+
+
+def test_full_paths_need_an_origin_or_stored_paths():
+    # a hand-made state has triples but neither paths nor a level step to
+    # replay them from
+    s = state_for_prefix(((),))
+    bare = ConstructionState(s.n, s.ends, s.alpha_prefix)
+    with pytest.raises(ConstructionError, match="no origin"):
+        bare.families
+    with pytest.raises(ConstructionError, match="no origin"):
+        assemble_two_factor(bare, (0,))

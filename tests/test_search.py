@@ -4,7 +4,10 @@ import pytest
 
 from midlayer.search import (
     TABLE1_EXPECTED,
+    TASKS_PER_WORKER,
     SearchJob,
+    _sweep_tasks,
+    _worker_sweep,
     alpha_vectors,
     iter_exhaustive,
     iter_exhaustive_parallel,
@@ -138,3 +141,36 @@ def test_checkpoint_resume_record_stream(tmp_path):
         ]
 
     assert strip(split.read_text().splitlines()) == strip(head)
+
+
+def test_parallel_tasks_are_bounded():
+    for n in range(2, 6):
+        serial = list(iter_exhaustive(n))
+        for workers in (2, 3, 4):
+            for start in (0, 1):
+                tasks = _sweep_tasks(n, workers, start)
+                chunks = [_worker_sweep(task) for task in tasks]
+                assert [rec for chunk in chunks for rec in chunk] == serial[start:]
+                bound = max(num_sequences(n) // (TASKS_PER_WORKER * workers), 1 << (n - 1))
+                assert max(len(chunk) for chunk in chunks) <= bound
+    # at n=7 the tree is deep enough for the share bound alone; tasks are
+    # subtrees of one level, so they split the sweep evenly
+    for workers in (2, 3, 4, 8):
+        tasks = _sweep_tasks(7, workers)
+        share = num_sequences(7) // len(tasks)
+        assert [base for _, _, base, _ in tasks] == [i * share for i in range(len(tasks))]
+        assert share * TASKS_PER_WORKER * workers <= num_sequences(7)
+
+
+def test_job_rejects_sizes_below_one():
+    for kwargs in (
+        dict(n=0),
+        dict(n=-1),
+        dict(n=3, workers=0),
+        dict(n=3, workers=-2),
+        dict(n=3, mode="random", seed=1, limit=0),
+        dict(n=3, mode="targeted", seed=1, target_counts=frozenset({1}), limit=0),
+        dict(n=3, mode="targeted", seed=1, target_counts=frozenset({1}), budget=0),
+    ):
+        with pytest.raises(ValueError):
+            SearchJob(**kwargs)
