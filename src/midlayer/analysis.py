@@ -11,9 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
+from operator import xor
 
 from . import lattice, trees
-from .bitcube import AlphaVector, format_sequence, tau_alpha, weight
+from .bitcube import AlphaVector, format_sequence, tau_alpha
 from .construct import TwoFactor, build, canonical_cycle
 
 
@@ -58,28 +59,33 @@ def verify_two_factor(tf: TwoFactor) -> VerificationReport:
     n = tf.n
     m = 2 * n + 1
     failures: list[str] = []
-    seen: Counter = Counter()
+    seen: set[int] = set()
+    total = 0
     for ci, cycle in enumerate(tf.cycles):
         if len(cycle) % (4 * n + 2):
             failures.append(f"cycle {ci}: length {len(cycle)} not divisible by {4 * n + 2}")
-        for i, v in enumerate(cycle):
-            seen[v] += 1
-            if v >> m:
-                failures.append(f"cycle {ci}: vertex {v:#x} too long")
-            u = cycle[i - 1]
-            if (u ^ v).bit_count() != 1:
-                failures.append(f"cycle {ci}: vertices at {i - 1},{i} not adjacent")
-    dups = [v for v, c in seen.items() if c > 1]
-    if dups:
-        failures.append(f"{len(dups)} vertices visited more than once")
-    bad_weight = [v for v in seen if weight(v) not in (n, n + 1)]
+        total += len(cycle)
+        seen.update(cycle)
+        if cycle and max(cycle) >> m:
+            failures.extend(f"cycle {ci}: vertex {v:#x} too long" for v in cycle if v >> m)
+        # Hamming distance from each vertex to the one before it
+        steps = list(map(int.bit_count, map(xor, cycle[-1:] + cycle[:-1], cycle)))
+        if steps.count(1) != len(steps):
+            failures.extend(
+                f"cycle {ci}: vertices at {i - 1},{i} not adjacent"
+                for i, d in enumerate(steps)
+                if d != 1
+            )
+    repeats = total - len(seen)
+    if repeats:
+        failures.append(f"{repeats} repeated vertex visits")
+    weights = Counter(map(int.bit_count, seen))
+    bad_weight = len(seen) - weights[n] - weights[n + 1]
     if bad_weight:
-        failures.append(f"{len(bad_weight)} vertices outside the middle levels")
+        failures.append(f"{bad_weight} vertices outside the middle levels")
     expected = comb(m, n) + comb(m, n + 1)
-    if sum(seen.values()) != expected:
-        failures.append(
-            f"covered {sum(seen.values())} vertices, expected {expected}"
-        )
+    if total != expected:
+        failures.append(f"covered {total} vertices, expected {expected}")
     return VerificationReport(not failures, failures)
 
 

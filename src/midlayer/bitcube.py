@@ -53,11 +53,6 @@ def reverse_invert(x: int, m: int) -> int:
     return invert(reverse(x, m), m)
 
 
-def concat(x: int, mx: int, y: int) -> int:
-    """x followed by y, where x occupies positions 1..mx."""
-    return x | (y << mx)
-
-
 def _swap_pairs(x: int, mask: int) -> int:
     """Swap each bit pair of x whose low bit is set in mask (odd indices)."""
     # d marks the selected pairs whose two bits differ; its bits sit at
@@ -110,11 +105,6 @@ def tau_alpha(alpha_prime: AlphaVector, x: int) -> int:
     low = x & ((1 << m) - 1)
     top = (x >> m) & 1
     return f_alpha(alpha_prime, low) | ((top ^ 1) << m)
-
-
-def is_adjacent(u: int, v: int) -> bool:
-    """True iff u and v differ in exactly one bit."""
-    return (u ^ v).bit_count() == 1
 
 
 # --- textual formats ---------------------------------------------------------

@@ -41,7 +41,7 @@ def cmd_build(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        tf = build(seq, k_cap=None if args.full else len(seq))
+        tf = build(seq)
     except ConstructionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -146,8 +146,18 @@ SUITES = {
 }
 
 
+def _tree_counts_exact(n: int) -> bool:
+    """True if the tree counts cover n edges; otherwise report it."""
+    if n > 30:
+        print("error: counts are exact only through n=30", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_verify(args) -> int:
     if not _at_least_one(n=args.n, budget=args.budget):
+        return EXIT_PARSE
+    if args.mode == "trees" and not _tree_counts_exact(args.n):
         return EXIT_PARSE
     results = SUITES[args.mode](args.n, args.budget)
     code = EXIT_OK
@@ -167,8 +177,7 @@ def cmd_trees(args) -> int:
     n = args.n
     if not _at_least_one(n=n):
         return EXIT_PARSE
-    if n > 30:
-        print("error: counts are exact only through n=30", file=sys.stderr)
+    if not _tree_counts_exact(n):
         return EXIT_PARSE
     cn = trees.catalan(n)
     plane = trees.count_plane_trees(n)
@@ -177,28 +186,21 @@ def cmd_trees(args) -> int:
     print(f"plane trees: {plane}")
     print(f"asymmetric plane trees: {asym}")
     if n <= 8:
-        seen = {
-            trees.canonical_plane_tree(trees.psi(p)[0])
-            for p in enumerate_class(2 * n, n, D_EQ0)
-        }
-        full = sum(
-            1
-            for code in seen
-            if len(trees.rotation_class(trees.psi(trees_parse(code))[0])) == 2 * n
-        )
-        if len(seen) != plane or full != asym:
+        # canonical Dyck word of each rotation class -> class size
+        classes: dict[str, int] = {}
+        for p in enumerate_class(2 * n, n, D_EQ0):
+            t = trees.psi(p)[0]
+            code = trees.canonical_plane_tree(t)
+            if code not in classes:
+                classes[code] = len(trees.rotation_class(t))
+        full = sum(1 for size in classes.values() if size == 2 * n)
+        if len(classes) != plane or full != asym:
             print(
-                f"MISMATCH: brute force found {len(seen)} classes, {full} asymmetric"
+                f"MISMATCH: brute force found {len(classes)} classes, {full} asymmetric"
             )
             return EXIT_VERIFY
         print("cross-check against brute-force class enumeration: ok")
     return EXIT_OK
-
-
-def trees_parse(code: str):
-    from .lattice import parse_path
-
-    return parse_path(code.replace("1", "U").replace("0", "D"))
 
 
 def main(argv=None) -> int:

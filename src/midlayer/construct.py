@@ -61,9 +61,9 @@ class ConstructionState:
     toward a fixed target level never reads again.  origin is the level
     step that made the state: the parent state, its alpha and the
     permutations succ and phat of the parent's middle family (None at
-    level 1).  Make states only through base_state, state_for_prefix and
-    split_state: a state built by hand from full paths in ends would be
-    read as wrong triples.
+    level 1).  Make states only through base_state and state_for_prefix:
+    a state built by hand from full paths in ends would be read as wrong
+    triples.
     """
 
     n: int
@@ -329,15 +329,6 @@ def _expand_level(
     }
 
 
-def split_state(
-    state: ConstructionState, tf: TwoFactor, alpha: AlphaVector
-) -> ConstructionState:
-    """Split the 2-factor assembled from (state, alpha) into the next level."""
-    if tf.n != state.n or tf.alphas != state.alpha_prefix + (alpha,):
-        raise ConstructionError("two-factor does not match (state, alpha)")
-    return _advance(state, alpha)
-
-
 def state_for_prefix(
     prefix: ParameterSequence, k_cap: int | None = None
 ) -> ConstructionState:
@@ -348,7 +339,7 @@ def state_for_prefix(
     return state
 
 
-def build(seq: ParameterSequence, k_cap: int | None = None) -> TwoFactor:
+def build(seq: ParameterSequence) -> TwoFactor:
     """The 2-factor of the middle layer of the (2n+1)-cube, n = len(seq)."""
     n = len(seq)
     if n < 1:
@@ -356,10 +347,7 @@ def build(seq: ParameterSequence, k_cap: int | None = None) -> TwoFactor:
     for i, a in enumerate(seq, start=1):
         if len(a) != i - 1:
             raise ValueError(f"alpha vector {i} has length {len(a)}, expected {i - 1}")
-    cap = n if k_cap is None else k_cap
-    if cap < n:
-        raise ValueError("k_cap below the target level")
-    state = state_for_prefix(seq[:-1], cap)
+    state = state_for_prefix(seq[:-1], k_cap=n)
     return assemble_two_factor(state, seq[-1])
 
 

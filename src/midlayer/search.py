@@ -33,6 +33,11 @@ from .construct import (
 )
 
 
+# Largest level an exhaustive search accepts: 2^21 sequences at n=7,
+# 2^28 at n=8.
+EXHAUSTIVE_BOUND = 7
+
+
 @dataclass(frozen=True)
 class SearchJob:
     n: int
@@ -43,7 +48,6 @@ class SearchJob:
     workers: int = 1
     checkpoint: int = 0
     budget: int = 100_000
-    exhaustive_bound: int = 7
 
     def __post_init__(self) -> None:
         for name in ("n", "workers", "limit", "budget"):
@@ -52,9 +56,9 @@ class SearchJob:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         if self.mode not in ("exhaustive", "random", "targeted"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "exhaustive" and self.n > self.exhaustive_bound:
+        if self.mode == "exhaustive" and self.n > EXHAUSTIVE_BOUND:
             raise ValueError(
-                f"exhaustive search limited to n <= {self.exhaustive_bound}"
+                f"exhaustive search limited to n <= {EXHAUSTIVE_BOUND}"
             )
         if self.mode in ("random", "targeted") and self.seed is None:
             raise ValueError(f"{self.mode} mode requires a seed")
@@ -103,18 +107,21 @@ def _leaves_below(level: int, n: int) -> int:
     return count
 
 
+def all_sequences(n: int) -> list[ParameterSequence]:
+    """Every sequence of n alpha vectors (alpha_1 .. alpha_n), in index
+    order."""
+    out: list[ParameterSequence] = [()]
+    for level in range(1, n + 1):
+        out = [p + (a,) for p in out for a in alpha_vectors(level)]
+    return out
+
+
 def iter_exhaustive(
-    n: int,
-    start: int = 0,
-    prefix: ParameterSequence = (),
-    base_index: int | None = None,
+    n: int, start: int = 0
 ) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
-    """Yield (index, sequence, spectrum) for all sequences with the given
-    prefix and index >= start, in index order."""
-    state = state_for_prefix(prefix, k_cap=n)
-    if base_index is None:
-        base_index = 0
-    yield from _walk(state, n, start, base_index)
+    """Yield (index, sequence, spectrum) for all sequences targeting level
+    n with index >= start, in index order."""
+    yield from _walk(state_for_prefix((), k_cap=n), n, start, 0)
 
 
 def _walk(
@@ -174,19 +181,9 @@ def _split_level(n: int, workers: int) -> int:
     return n
 
 
-def _prefixes_at(level: int) -> list[ParameterSequence]:
-    """All alpha prefixes (alpha_2 .. alpha_{2(level-1)}) in index order."""
-    out: list[ParameterSequence] = [()]
-    for lv in range(1, level):
-        out = [p + (a,) for p in out for a in alpha_vectors(lv)]
-    return out
-
-
 def _worker_sweep(args) -> list[tuple[int, ParameterSequence, dict[int, int]]]:
     n, prefix, base, start = args
-    return list(
-        iter_exhaustive(n, start=start, prefix=prefix, base_index=base)
-    )
+    return list(_walk(state_for_prefix(prefix, k_cap=n), n, start, base))
 
 
 def _sweep_tasks(n: int, workers: int, start: int = 0) -> list[tuple]:
@@ -196,7 +193,7 @@ def _sweep_tasks(n: int, workers: int, start: int = 0) -> list[tuple]:
     sub = _leaves_below(level, n)
     return [
         (n, prefix, i * sub, start)
-        for i, prefix in enumerate(_prefixes_at(level))
+        for i, prefix in enumerate(all_sequences(level - 1))
         if (i + 1) * sub > start
     ]
 
@@ -251,7 +248,6 @@ class SearchSummary:
     hits: int = 0
     written: int = 0
     last_index: int = -1
-    parity_failures: int = 0
     records: list[SearchRecord] = field(default_factory=list)
 
 
@@ -280,7 +276,6 @@ def run_search(job: SearchJob, out_path=None, keep_records: bool = False) -> Sea
             summary.last_index = idx
             ncyc = sum(sp.values())
             if ncyc % 2 != predicted_parity(seq[-1], job.n):
-                summary.parity_failures += 1
                 raise ConstructionError(
                     f"parity violation at {format_sequence(seq)}: {ncyc} cycles"
                 )

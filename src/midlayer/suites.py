@@ -19,7 +19,7 @@ from . import analysis, construct, lattice, trees
 from .bitcube import f_alpha, weight
 from .construct import build, state_for_prefix
 from .lattice import D_EQ0, D_GT0, D_MINUS, DOWN, UP, enumerate_class
-from .search import alpha_vectors, random_sequence
+from .search import all_sequences, alpha_vectors, random_sequence
 
 
 @dataclass
@@ -243,6 +243,11 @@ def suite_trees(n_max: int = 8, psi_len: int = 16) -> SuiteResult:
     return res
 
 
+def _all_zero(n: int):
+    """The sequence of n all-zero alpha vectors."""
+    return tuple((0,) * (i - 1) for i in range(1, n + 1))
+
+
 def _state_sample(n: int, seed: int, count: int):
     """A few level-n states: the all-zero prefix plus seeded random ones
     (exhaustive instead whenever that is at most count states)."""
@@ -251,10 +256,8 @@ def _state_sample(n: int, seed: int, count: int):
     rng = Random(seed)
     prefixes = {tuple(random_sequence(rng, n - 1)) for _ in range(count)}
     if 1 << ((n - 1) * (n - 2) // 2) <= count:
-        prefixes = set(
-            product(*[alpha_vectors(level) for level in range(1, n)])
-        )
-    prefixes.add(tuple(tuple([0] * (i - 1)) for i in range(1, n)))
+        prefixes = set(all_sequences(n - 1))
+    prefixes.add(_all_zero(n - 1))
     return [state_for_prefix(p) for p in sorted(prefixes)]
 
 
@@ -314,9 +317,7 @@ def suite_paths(n_max: int = 6, seed: int = 2024, states_per_level: int = 4) -> 
                 )
 
         # the map built from each final alpha keeps the endpoint sets fixed
-        state = state_for_prefix(
-            tuple(tuple([0] * (i - 1)) for i in range(1, n))
-        )
+        state = state_for_prefix(_all_zero(n - 1))
         F, _, L = construct.fsl_sets(state, n)
         bad = []
         for alpha in alpha_vectors(n):
@@ -328,9 +329,7 @@ def suite_paths(n_max: int = 6, seed: int = 2024, states_per_level: int = 4) -> 
 
     # with the all-zero prefix the second/last decompositions agree exactly
     for n in range(1, min(n_max + 2, 9)):
-        state = state_for_prefix(
-            tuple(tuple([0] * (i - 1)) for i in range(1, n))
-        )
+        state = state_for_prefix(_all_zero(n - 1))
         m = 2 * n
         bad = []
         for p in state.families[n]:
@@ -367,9 +366,8 @@ def suite_tau(n_max: int = 5) -> SuiteResult:
     maps onto each other under the permute-and-invert automorphism."""
     res = SuiteResult("tau")
     for n in range(1, n_max + 1):
-        prefixes = list(product(*[alpha_vectors(level) for level in range(1, n)]))
         bad = []
-        for prefix in prefixes:
+        for prefix in all_sequences(n - 1):
             state = state_for_prefix(prefix)
             for alpha in alpha_vectors(n):
                 tf = construct.assemble_two_factor(state, alpha)
@@ -386,11 +384,7 @@ def suite_distinct(n_max: int = 4, random_pairs: int = 0, seed: int = 11) -> Sui
     n_max, optionally plus seeded random pairs at n_max+1 and n_max+2."""
     res = SuiteResult("distinct")
     for n in range(1, n_max + 1):
-        seqs = [
-            prefix + (alpha,)
-            for prefix in product(*[alpha_vectors(level) for level in range(1, n)])
-            for alpha in alpha_vectors(n)
-        ]
+        seqs = all_sequences(n)
         res.add(
             f"n={n} all {len(seqs)} sequences distinct",
             analysis.distinct_check(n, seqs),
@@ -417,7 +411,7 @@ def suite_all_zero(n_max: int = 9) -> SuiteResult:
     res = SuiteResult("all_zero")
     expected_cycles = {n: trees.count_plane_trees(n) for n in range(1, n_max + 1)}
     for n in range(1, n_max + 1):
-        seq = tuple(tuple([0] * (i - 1)) for i in range(1, n + 1))
+        seq = _all_zero(n)
         sp = construct.cycle_spectrum(state_for_prefix(seq[:-1], k_cap=n), seq[-1])
         ncyc = sum(sp.values())
         res.add(

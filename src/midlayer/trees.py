@@ -109,10 +109,6 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _cat(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
-
-
 @lru_cache(maxsize=256)
 def count_plane_trees(n: int) -> int:
     """Number of plane trees with n edges (n+1 vertices)."""
@@ -123,8 +119,8 @@ def count_plane_trees(n: int) -> int:
     total = sum(int(totient(n // d)) * comb(2 * d, d) for d in divisors(n))
     r, rem = divmod(total, 2 * n)
     assert rem == 0
-    odd_term = _cat((n - 1) // 2) if n % 2 else 0
-    half, rem = divmod(_cat(n) - odd_term, 2)
+    odd_term = catalan((n - 1) // 2) if n % 2 else 0
+    half, rem = divmod(catalan(n) - odd_term, 2)
     assert rem == 0
     return r - half
 
@@ -139,7 +135,7 @@ def count_asymmetric(n: int) -> int:
     total = sum(int(mobius(n // d)) * comb(2 * d, d) for d in divisors(n))
     r, rem = divmod(total, 2 * n)
     assert rem == 0
-    odd_term = _cat((n - 1) // 2) if n % 2 else 0
-    half, rem = divmod(_cat(n) + odd_term, 2)
+    odd_term = catalan((n - 1) // 2) if n % 2 else 0
+    half, rem = divmod(catalan(n) + odd_term, 2)
     assert rem == 0
     return r - half

@@ -1,3 +1,6 @@
+from collections import Counter
+from math import comb
+
 import pytest
 
 from midlayer.analysis import (
@@ -16,6 +19,7 @@ from midlayer.analysis import (
 )
 from midlayer.bitcube import parse_sequence
 from midlayer.construct import TwoFactor, build
+from midlayer.search import all_sequences
 
 
 def seq(text):
@@ -58,6 +62,76 @@ def test_verify_detects_swapped_vertices():
     report = verify_two_factor(TwoFactor(tf.n, tf.alphas, (tuple(c),)))
     assert not report.ok
     assert any("adjacent" in f for f in report.failures)
+
+
+def test_verify_detects_repeated_vertex():
+    tf = build(seq(",0"))
+    c = tf.cycles[0]
+    report = verify_two_factor(TwoFactor(tf.n, tf.alphas, (c, c[:1])))
+    assert not report.ok
+    assert "1 repeated vertex visits" in report.failures
+
+
+def test_verify_detects_vertex_outside_middle_levels():
+    tf = build(seq(",0"))
+    c = list(tf.cycles[0])
+    c[0] = 0b11111  # weight 5; the middle levels of the 5-cube are 2 and 3
+    report = verify_two_factor(TwoFactor(tf.n, tf.alphas, (tuple(c),)))
+    assert "1 vertices outside the middle levels" in report.failures
+
+
+def test_verify_detects_vertex_too_long():
+    tf = build(seq(",0"))
+    c = list(tf.cycles[0])
+    c[4] |= 1 << 5
+    report = verify_two_factor(TwoFactor(tf.n, tf.alphas, (tuple(c),)))
+    assert f"cycle 0: vertex {c[4]:#x} too long" in report.failures
+
+
+def test_verify_detects_length_not_multiple_of_unit():
+    # a 6-cycle through the middle levels of the 5-cube: distinct, adjacent
+    # vertices of weight 2 and 3, but 6 is not a multiple of 4n+2 = 10
+    tf = build(seq(",0"))
+    hexagon = (0b00011, 0b00111, 0b00110, 0b01110, 0b01010, 0b01011)
+    report = verify_two_factor(TwoFactor(tf.n, tf.alphas, (hexagon,)))
+    assert "cycle 0: length 6 not divisible by 10" in report.failures
+    assert not any("adjacent" in f or "middle" in f for f in report.failures)
+
+
+def _reference_ok(tf):
+    """Reference verdict by per-vertex counting: coverage, disjointness,
+    adjacency, divisibility."""
+    n = tf.n
+    m = 2 * n + 1
+    seen = Counter()
+    for cycle in tf.cycles:
+        if len(cycle) % (4 * n + 2):
+            return False
+        for i, v in enumerate(cycle):
+            seen[v] += 1
+            if v >> m or (cycle[i - 1] ^ v).bit_count() != 1:
+                return False
+    return (
+        all(c == 1 for c in seen.values())
+        and all(v.bit_count() in (n, n + 1) for v in seen)
+        and sum(seen.values()) == comb(m, n) + comb(m, n + 1)
+    )
+
+
+def test_verify_agrees_with_reference_on_small_levels():
+    for n in range(1, 5):
+        for s in all_sequences(n):
+            tf = build(s)
+            first = tf.cycles[0]
+            broken = [
+                tf,
+                TwoFactor(n, s, (first[1:],) + tf.cycles[1:]),  # vertex missing
+                TwoFactor(n, s, tf.cycles + (first[:1],)),  # vertex repeated
+                TwoFactor(n, s, (first[::2],) + tf.cycles[1:]),  # not adjacent
+            ]
+            for t in broken:
+                assert verify_two_factor(t).ok == _reference_ok(t)
+            assert verify_two_factor(tf).ok
 
 
 def test_beta_examples():

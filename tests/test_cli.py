@@ -62,6 +62,7 @@ def test_search_bad_target(capsys):
 def test_verify_trees(capsys):
     assert main(["verify", "--n", "4", "--mode", "trees"]) == 0
     assert "ok" in capsys.readouterr().out
+    assert main(["verify", "--n", "31", "--mode", "trees"]) == 2
 
 
 def test_verify_parity(capsys):

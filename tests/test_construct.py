@@ -17,7 +17,6 @@ from midlayer.construct import (
     canonical_cycle,
     cycle_spectrum,
     fsl_sets,
-    split_state,
     state_for_prefix,
 )
 
@@ -58,26 +57,13 @@ def test_assemble_level_one_six_cycle():
 
 
 def test_split_level_one():
-    s = base_state()
-    tf = assemble_two_factor(s, ())
-    s2 = split_state(s, tf, ())
     arc = tuple(
         bits(t)
         for t in ("1100", "1101", "0101", "0111", "0011", "1011", "1001")
     )
     short = tuple(bits(t) for t in ("1010", "1110", "0110"))
     top = tuple(bits(t) for t in ("1011", "1111", "0111"))
-    assert s2.families == {2: (arc, short), 3: (top,)}
-    assert s2.alpha_prefix == ((),)
     assert state_for_prefix(((),)).families == {2: (arc, short), 3: (top,)}
-
-
-def test_split_rejects_mismatched_two_factor():
-    s = base_state()
-    tf = assemble_two_factor(s, ())
-    wrong = tf.__class__(tf.n, ((), (0,)), tf.cycles)
-    with pytest.raises(ConstructionError):
-        split_state(s, wrong, ())
 
 
 def test_level_two_fsl_example():
@@ -113,14 +99,16 @@ def test_build_validates_sequence():
         build(())
     with pytest.raises(ValueError):
         build(((0,),))
-    with pytest.raises(ValueError):
-        build(seq(",0"), k_cap=1)
 
 
 def test_k_cap_equivalence():
+    # pruning the families above the target level changes no cycle
     for text in (",1,01", ",0,11"):
         s = seq(text)
-        assert build(s).cycles == build(s, k_cap=2 * len(s)).cycles
+        n = len(s)
+        full = assemble_two_factor(state_for_prefix(s[:-1]), s[-1])
+        pruned = assemble_two_factor(state_for_prefix(s[:-1], k_cap=n), s[-1])
+        assert full.cycles == pruned.cycles
 
 
 def test_build_is_deterministic():

@@ -8,6 +8,7 @@ from midlayer.search import (
     SearchJob,
     _sweep_tasks,
     _worker_sweep,
+    all_sequences,
     alpha_vectors,
     iter_exhaustive,
     iter_exhaustive_parallel,
@@ -31,6 +32,7 @@ def test_num_sequences():
 def test_exhaustive_order_and_coverage():
     recs = list(iter_exhaustive(3))
     assert [idx for idx, _, _ in recs] == list(range(8))
+    assert [s for _, s, _ in recs] == all_sequences(3)
     assert len({s for _, s, _ in recs}) == 8
     for _, s, _ in recs:
         assert tuple(len(a) for a in s) == (0, 1, 2)

@@ -123,6 +123,8 @@ def test_count_plane_trees_values():
     assert [count_plane_trees(n) for n in range(1, 11)] == [
         1, 1, 2, 3, 6, 14, 34, 95, 280, 854,
     ]
+    with pytest.raises(ValueError):
+        count_plane_trees(31)
 
 
 def test_count_asymmetric_values():
