@@ -15,7 +15,6 @@ import sys
 from . import analysis, suites, trees
 from .bitcube import parse_sequence
 from .construct import ConstructionError, build
-from .lattice import D_EQ0, enumerate_class
 from .search import TABLE1_EXPECTED, SearchJob, run_search, table1_counts
 
 EXIT_OK = 0
@@ -186,13 +185,7 @@ def cmd_trees(args) -> int:
     print(f"plane trees: {plane}")
     print(f"asymmetric plane trees: {asym}")
     if n <= 8:
-        # canonical Dyck word of each rotation class -> class size
-        classes: dict[str, int] = {}
-        for p in enumerate_class(2 * n, n, D_EQ0):
-            t = trees.psi(p)[0]
-            code = trees.canonical_plane_tree(t)
-            if code not in classes:
-                classes[code] = len(trees.rotation_class(t))
+        _, classes = suites.rotation_classes(n)
         full = sum(1 for size in classes.values() if size == 2 * n)
         if len(classes) != plane or full != asym:
             print(
@@ -226,7 +219,7 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "random", "targeted"), default="exhaustive")
     p.add_argument("--target", help="comma-separated cycle counts to hunt, e.g. 1,2")
-    p.add_argument("--limit", type=int, help="stop after this many hits/samples")
+    p.add_argument("--limit", type=int, help="stop after this many logged records")
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--checkpoint", type=int, default=0, help="resume from this index")

@@ -15,7 +15,12 @@ of its blocks, and the cycle lengths to the orbit sizes of that
 permutation.
 
 That permutation reads only the first and last vertex of each path, so a
-state stores each path as its endpoint triple (first, second, last).
+state stores each path as its endpoint triple (first, second, last).  The
+first vertices of a level-n middle family are the Dyck words of length
+2n, and a family is sorted by first vertex, so path j starts at the j-th
+smallest Dyck word in every state of a level: the first-vertex side of
+the permutation is a per-(n, alpha) table over path indices, and only
+the last vertices are looked up in a per-state map.
 Triples are closed under the level step: a path shifted into a copy of
 the cube is its triple OR the shift, and the arc that replaces path i of
 the middle family is (p[1], p[1] | s01, first of path succ[i] | s01).  A
@@ -57,10 +62,11 @@ class ConstructionState:
 
     ends maps k to the family in layer (k, k+1) of the 2n-cube, for
     k = n .. min(2n-1, k_cap), each path given by its endpoint triple and
-    the family sorted by first vertex; a k_cap prunes layers that a build
-    toward a fixed target level never reads again.  origin is the level
-    step that made the state: the parent state, its alpha and the
-    permutations succ and phat of the parent's middle family (None at
+    the family sorted by first vertex; path j of the middle family starts
+    at the j-th smallest Dyck word of length 2n.  A k_cap prunes layers
+    that a build toward a fixed target level never reads again.  origin
+    is the level step that made the state: the parent state, its alpha and
+    the permutations succ and phat of the parent's middle family (None at
     level 1).  Make states only through base_state and state_for_prefix:
     a state built by hand from full paths in ends would be read as wrong
     triples.
@@ -84,13 +90,9 @@ class ConstructionState:
         return {k: paths[k] for k in sorted(paths)}
 
     @cached_property
-    def _endpoint_maps(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Index in the middle family of each first and each last vertex."""
-        fam = self.ends[self.n]
-        return (
-            {t[0]: i for i, t in enumerate(fam)},
-            {t[2]: i for i, t in enumerate(fam)},
-        )
+    def _last_index(self) -> dict[int, int]:
+        """Index in the middle family of each last vertex."""
+        return {t[2]: i for i, t in enumerate(self.ends[self.n])}
 
 
 @dataclass(frozen=True)
@@ -113,31 +115,40 @@ def base_state(k_cap: int | None = None) -> ConstructionState:
 
 
 @lru_cache(maxsize=None)
-def _reverse_inverted(n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """reverse_invert on the possible first vertices and on the possible
-    last vertices of level-n middle families."""
+def _level_tables(n: int) -> tuple[dict[int, int], list[int], dict[int, int]]:
+    """Per level n: the rank of each Dyck word of length 2n (the first
+    vertices of a middle family, in path order), reverse_invert on those
+    words in rank order, and reverse_invert on the possible last vertices."""
     m = 2 * n
+    dyck = sorted(lattice.dyck_bitstrings(m))
     return (
-        {x: reverse_invert(x, m) for x in lattice.dyck_bitstrings(m)},
+        {x: j for j, x in enumerate(dyck)},
+        [reverse_invert(x, m) for x in dyck],
         {x: reverse_invert(x, m) for x in lattice.dminus_bitstrings(m)},
     )
 
 
 @lru_cache(maxsize=4096)
-def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[dict[int, int], dict[int, int]]:
-    """Per (n, alpha): f_alpha on the possible first vertices and the
-    inverse of f_alpha on the possible last vertices of middle families.
+def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], dict[int, int]]:
+    """Per (n, alpha): fb[j], the index of the middle-family path that
+    starts at f_alpha of the start of path j, and the inverse of f_alpha on
+    the possible last vertices of middle families.
 
     Reversal carries the pair at positions (2i, 2i+1) to the pair n-i, so
     f_alpha(alpha, x) = pi_alpha(alpha[::-1], reverse_invert(x)): with the
     reversals kept per n, only the pair swap depends on alpha.
     """
-    firsts, lasts = _reverse_inverted(n)
+    rank, firsts, lasts = _level_tables(n)
     # fb is f_alpha(alpha, .); lb is its inverse f_alpha(alpha[::-1], .),
     # whose pair swap is alpha's own
     mf = pair_mask(alpha[::-1])
     ml = pair_mask(alpha)
-    fb = {x: _swap_pairs(r, mf) for x, r in firsts.items()}
+    try:
+        fb = [rank[_swap_pairs(r, mf)] for r in firsts]
+    except KeyError as exc:  # pragma: no cover - guards a construction bug
+        raise ConstructionError(
+            f"f_alpha image {exc.args[0]} is not a Dyck word"
+        ) from exc
     lb = {x: _swap_pairs(r, ml) for x, r in lasts.items()}
     return fb, lb
 
@@ -157,15 +168,15 @@ def _successors(
     fam = state.ends.get(n)
     if fam is None:
         raise ConstructionError(f"state has no middle family at level {n}")
-    fmap, lmap = state._endpoint_maps
+    lmap = state._last_index
     fb, lb = _alpha_tables(n, alpha)
     try:
         phat = [lmap[lb[t[2]]] for t in fam]
-        succ = [fmap[fb[fam[j][0]]] for j in phat]
     except KeyError as exc:  # pragma: no cover - guards a construction bug
         raise ConstructionError(
             f"f_alpha image {exc.args[0]} is not a family endpoint"
         ) from exc
+    succ = [fb[j] for j in phat]
     return succ, phat
 
 

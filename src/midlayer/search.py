@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
@@ -62,6 +62,8 @@ class SearchJob:
             )
         if self.mode in ("random", "targeted") and self.seed is None:
             raise ValueError(f"{self.mode} mode requires a seed")
+        if self.mode == "targeted" and self.target_counts is None:
+            raise ValueError("targeted mode requires target counts")
 
 
 @dataclass
@@ -99,14 +101,6 @@ def num_sequences(n: int) -> int:
     return 1 << (n * (n - 1) // 2)
 
 
-def _leaves_below(level: int, n: int) -> int:
-    """Sequences per subtree rooted at a level (choices for levels level..n)."""
-    count = 1
-    for j in range(level, n + 1):
-        count <<= j - 1
-    return count
-
-
 def all_sequences(n: int) -> list[ParameterSequence]:
     """Every sequence of n alpha vectors (alpha_1 .. alpha_n), in index
     order."""
@@ -134,7 +128,7 @@ def _walk(
             if idx >= start:
                 yield idx, state.alpha_prefix + (alpha,), cycle_spectrum(state, alpha)
     else:
-        sub = _leaves_below(level + 1, n)
+        sub = num_sequences(n) // num_sequences(level)
         for j, alpha in enumerate(alpha_vectors(level)):
             lo = base + j * sub
             if lo + sub <= start:
@@ -173,11 +167,9 @@ TASKS_PER_WORKER = 4
 def _split_level(n: int, workers: int) -> int:
     """Shallowest level with at least TASKS_PER_WORKER * workers prefixes,
     or n if no level below n has that many."""
-    count = 1
     for level in range(1, n):
-        if count >= TASKS_PER_WORKER * workers:
+        if num_sequences(level - 1) >= TASKS_PER_WORKER * workers:
             return level
-        count <<= level - 1
     return n
 
 
@@ -190,7 +182,7 @@ def _sweep_tasks(n: int, workers: int, start: int = 0) -> list[tuple]:
     """Worker tasks of a parallel sweep from index start, in index order:
     one subtree each, split at _split_level(n, workers)."""
     level = _split_level(n, workers)
-    sub = _leaves_below(level, n)
+    sub = num_sequences(n) // num_sequences(level - 1)
     return [
         (n, prefix, i * sub, start)
         for i, prefix in enumerate(all_sequences(level - 1))
@@ -248,28 +240,25 @@ class SearchSummary:
     hits: int = 0
     written: int = 0
     last_index: int = -1
-    records: list[SearchRecord] = field(default_factory=list)
 
 
-def run_search(job: SearchJob, out_path=None, keep_records: bool = False) -> SearchSummary:
+def run_search(job: SearchJob, out_path=None) -> SearchSummary:
     """Evaluate sequences per the job and append JSONL records.
 
-    Exhaustive mode logs every evaluated sequence unless target counts are
-    given, in which case only matches are logged.  Random mode evaluates
-    ``limit`` sequences and logs all of them; targeted mode logs matches
-    only and stops after ``limit`` hits or ``budget`` evaluations.  Every
-    record's parity is checked against the closed-form prediction.
+    Every evaluated sequence is logged unless target counts are given, in
+    which case only matches are logged.  Every mode stops after ``limit``
+    records; random and targeted modes also stop after ``budget``
+    evaluations.  Every record's parity is checked against the closed-form
+    prediction.
     """
     summary = SearchSummary()
     targets = job.target_counts
+    if job.mode == "exhaustive":
+        stream = iter_exhaustive_parallel(job.n, job.workers, start=job.checkpoint)
+    else:
+        stream = iter_random(job.n, job.seed, start=job.checkpoint)
     out = open(out_path, "a", encoding="utf-8") if out_path else None
     try:
-        if job.mode == "exhaustive":
-            stream = iter_exhaustive_parallel(
-                job.n, job.workers, start=job.checkpoint
-            )
-        else:
-            stream = iter_random(job.n, job.seed, start=job.checkpoint)
         t0 = time.perf_counter()
         for idx, seq, sp in stream:
             summary.evaluated += 1
@@ -279,31 +268,21 @@ def run_search(job: SearchJob, out_path=None, keep_records: bool = False) -> Sea
                 raise ConstructionError(
                     f"parity violation at {format_sequence(seq)}: {ncyc} cycles"
                 )
-            is_hit = targets is not None and ncyc in targets
-            if is_hit:
-                summary.hits += 1
-            log_it = is_hit if targets is not None else True
-            if log_it:
+            if targets is None or ncyc in targets:
+                if targets is not None:
+                    summary.hits += 1
                 t1 = time.perf_counter()
                 rec = SearchRecord(idx, seq, sp, (t1 - t0) * 1000.0)
                 t0 = t1
                 summary.written += 1
                 if out is not None:
                     out.write(json.dumps(rec.to_json()) + "\n")
-                if keep_records:
-                    summary.records.append(rec)
-            if job.mode == "exhaustive":
-                continue
-            if targets is not None:
-                if job.limit is not None and summary.hits >= job.limit:
-                    break
-                if summary.evaluated >= job.budget:
-                    break
-            elif summary.evaluated >= (
-                job.budget if job.limit is None else job.limit
-            ):
+            if job.limit is not None and summary.written >= job.limit:
+                break
+            if job.mode != "exhaustive" and summary.evaluated >= job.budget:
                 break
     finally:
+        stream.close()
         if out is not None:
             out.close()
     return summary

@@ -167,6 +167,19 @@ def _check_partition(res: SuiteResult, name: str, parts: list[set], whole: set) 
     res.add(name, ok, f"|parts|={total} |union|={len(union)} |whole|={len(whole)}")
 
 
+def rotation_classes(n: int) -> tuple[set[trees.Tree], dict[str, int]]:
+    """Brute force over the n-edge trees: the psi images of the Dyck paths
+    of length 2n, and the size of each rotation class among them, keyed by
+    canonical plane tree."""
+    ts = {trees.psi(p)[0] for p in enumerate_class(2 * n, n, D_EQ0)}
+    classes: dict[str, int] = {}
+    for t in ts:
+        code = trees.canonical_plane_tree(t)
+        if code not in classes:
+            classes[code] = len(trees.rotation_class(t))
+    return ts, classes
+
+
 def suite_trees(n_max: int = 8, psi_len: int = 16) -> SuiteResult:
     """Tree bijection and counting checks: round trips and active depth
     for every nonnegative path, rotation classes partitioning the trees,
@@ -190,24 +203,14 @@ def suite_trees(n_max: int = 8, psi_len: int = 16) -> SuiteResult:
     res.add(f"psi round trip through length {psi_len}", not bad, "; ".join(bad[:3]))
 
     for n in range(1, n_max + 1):
-        ts = {trees.psi(p)[0] for p in enumerate_class(2 * n, n, D_EQ0)}
+        ts, classes = rotation_classes(n)
         res.add(
             f"psi injective on {n}-edge trees",
             len(ts) == trees.catalan(n),
             f"{len(ts)} != {trees.catalan(n)}",
         )
-        classes: dict[str, int] = {}
-        covered = 0
-        sizes_ok = True
-        for t in ts:
-            code = trees.canonical_plane_tree(t)
-            if code in classes:
-                continue
-            cls = trees.rotation_class(t)
-            classes[code] = len(cls)
-            covered += len(cls)
-            if (2 * n) % len(cls):
-                sizes_ok = False
+        covered = sum(classes.values())
+        sizes_ok = all((2 * n) % size == 0 for size in classes.values())
         res.add(
             f"rotation classes partition {n}-edge trees",
             covered == trees.catalan(n) and sizes_ok,

@@ -51,6 +51,15 @@ def test_search_exhaustive(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_targeted_search_requires_target(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    code = main([
+        "search", "--n", "3", "--mode", "targeted", "--seed", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_search_requires_seed(capsys):
     assert main(["search", "--n", "3", "--mode", "random"]) == 2
 

@@ -1,4 +1,5 @@
 from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from midlayer.bitcube import f_alpha, parse_bits, parse_sequence
 from midlayer.construct import (
     ConstructionError,
     ConstructionState,
+    _advance,
     _alpha_tables,
     assemble_two_factor,
     base_state,
@@ -19,6 +21,7 @@ from midlayer.construct import (
     fsl_sets,
     state_for_prefix,
 )
+from midlayer.search import alpha_vectors, random_sequence
 
 
 def bits(text):
@@ -182,12 +185,34 @@ def test_full_paths_end_at_their_triples():
 
 def test_alpha_tables_match_f_alpha():
     for n in range(1, 7):
-        firsts = lattice.dyck_bitstrings(2 * n)
+        dyck = sorted(lattice.dyck_bitstrings(2 * n))
         lasts = lattice.dminus_bitstrings(2 * n)
         for alpha in product((0, 1), repeat=n - 1):
             fb, lb = _alpha_tables(n, alpha)
-            assert fb == {x: f_alpha(alpha, x) for x in firsts}
+            assert [dyck[j] for j in fb] == [f_alpha(alpha, x) for x in dyck]
             assert lb == {x: f_alpha(alpha[::-1], x) for x in lasts}
+
+
+def test_middle_family_starts_at_dyck_words_in_rank_order():
+    # the first-vertex tables index paths by Dyck-word rank, which holds
+    # only if every middle family starts at the sorted Dyck words
+    def check(state):
+        n = state.n
+        assert [t[0] for t in state.ends[n]] == sorted(lattice.dyck_bitstrings(2 * n))
+
+    def walk(state):
+        check(state)
+        for alpha in alpha_vectors(state.n):
+            if state.n <= 5:
+                assert verify_two_factor(assemble_two_factor(state, alpha)).ok
+            if state.n < 6:
+                walk(_advance(state, alpha))
+
+    walk(base_state(k_cap=6))
+    rng = Random(4)
+    for level in range(7, 10):
+        for _ in range(20):
+            check(state_for_prefix(random_sequence(rng, level - 1), k_cap=level))
 
 
 def test_full_paths_need_an_origin_or_stored_paths():

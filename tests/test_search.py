@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -99,20 +100,43 @@ def test_run_search_appends(tmp_path):
     assert len(out.read_text().splitlines()) == 4
 
 
-def test_run_search_random_limit():
+def test_run_search_random_limit(tmp_path):
+    out = tmp_path / "r.jsonl"
     job = SearchJob(n=3, mode="random", seed=1, limit=25)
-    summary = run_search(job, keep_records=True)
+    summary = run_search(job, out_path=out)
     assert summary.evaluated == 25
-    assert len(summary.records) == 25
+    assert len(out.read_text().splitlines()) == 25
 
 
-def test_run_search_targeted_stops_at_limit():
+def test_run_search_targeted_stops_at_limit(tmp_path):
+    out = tmp_path / "r.jsonl"
     job = SearchJob(
         n=4, mode="targeted", seed=2, target_counts=frozenset({1, 2}), limit=3
     )
-    summary = run_search(job, keep_records=True)
+    summary = run_search(job, out_path=out)
     assert summary.hits == 3
-    assert all(r.num_cycles in (1, 2) for r in summary.records)
+    records = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(records) == 3
+    assert all(r["num_cycles"] in (1, 2) for r in records)
+
+
+def test_run_search_exhaustive_stops_at_limit(tmp_path):
+    # the pool is shut down as soon as the limit is reached
+    out = tmp_path / "r.jsonl"
+    job = SearchJob(
+        n=5, mode="exhaustive", target_counts=frozenset({1}), limit=3, workers=2
+    )
+    summary = run_search(job, out_path=out)
+    assert summary.written == summary.hits == 3
+    assert summary.evaluated < num_sequences(5)
+    assert [json.loads(l)["num_cycles"] for l in out.read_text().splitlines()] == [1] * 3
+    assert multiprocessing.active_children() == []
+
+
+def test_run_search_random_stops_at_budget():
+    job = SearchJob(n=3, mode="random", seed=1, limit=50, budget=20)
+    summary = run_search(job)
+    assert summary.evaluated == summary.written == 20
 
 
 def test_run_search_targeted_budget_bound():
