@@ -26,17 +26,17 @@ the cube is its triple OR the shift, and the arc that replaces path i of
 the middle family is (p[1], p[1] | s01, first of path succ[i] | s01).  A
 level step and a cycle spectrum therefore cost O(#paths), not
 O(#vertices).  Full paths are needed only to assemble cycles and to check
-path structure.  They are built on demand, only for the families asked
-for, by replaying the level steps from the nearest ancestor state that
-has them with the permutations those steps stored, and are kept in the
-state asked.
+path structure.  A family's full paths are built on demand by the same
+rule applied to the full paths of the parent families it reads, expanded
+in turn on demand with the permutations the parent's level step stored;
+every state on the way keeps the families it expanded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import lattice
 from .bitcube import (
@@ -67,8 +67,9 @@ class ConstructionState:
     that a build toward a fixed target level never reads again.  origin
     is the level step that made the state: the parent state, its alpha and
     the permutations succ and phat of the parent's middle family (None at
-    level 1).  Make states only through base_state and state_for_prefix:
-    a state built by hand from full paths in ends would be read as wrong
+    level 1).  _paths holds the full paths of the families expanded so
+    far.  Make states only through base_state and state_for_prefix: a
+    state built by hand from full paths in ends would be read as wrong
     triples.
     """
 
@@ -83,11 +84,10 @@ class ConstructionState:
         default_factory=dict, compare=False, repr=False
     )
 
-    @cached_property
+    @property
     def families(self) -> dict[int, tuple[Path, ...]]:
         """The full paths of every family, sorted by first vertex."""
-        paths = _full_paths(self, set(self.ends))
-        return {k: paths[k] for k in sorted(paths)}
+        return {k: _paths(self, k) for k in sorted(self.ends)}
 
     @cached_property
     def _last_index(self) -> dict[int, int]:
@@ -189,29 +189,43 @@ def canonical_cycle(verts: list[int]) -> tuple[int, ...]:
     return tuple(r)
 
 
+def _orbits(succ: list[int]) -> Iterator[list[int]]:
+    """The orbits of the permutation succ, each in walk order from its
+    smallest index."""
+    visited = [False] * len(succ)
+    for start in range(len(succ)):
+        if visited[start]:
+            continue
+        orbit = []
+        j = start
+        while not visited[j]:
+            visited[j] = True
+            orbit.append(j)
+            j = succ[j]
+        if j != start:
+            raise ConstructionError("cycle walk did not close")
+        yield orbit
+
+
+def _block(p: Path, q: Path, alpha: AlphaVector, lo: int, hi: int) -> list[int]:
+    """One block of a 2-factor cycle: path p with the suffix bits lo, then
+    the f_alpha image of path q with the suffix bits hi, traversed
+    backwards."""
+    return [v | lo for v in p] + [f_alpha(alpha, v) | hi for v in reversed(q)]
+
+
 def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFactor:
     """Glue the middle family, its f_alpha image, and the endpoint matching
     into the 2-factor of the middle layer of the (2n+1)-cube."""
     n = state.n
     succ, phat = _successors(state, alpha)
-    fam = _full_paths(state, {n})[n]
+    fam = _paths(state, n)
     top = 1 << (2 * n)
-    visited = [False] * len(fam)
     cycles = []
-    for start in range(len(fam)):
-        if visited[start]:
-            continue
+    for orbit in _orbits(succ):
         verts: list[int] = []
-        j = start
-        while not visited[j]:
-            visited[j] = True
-            verts.extend(fam[j])  # P with suffix 0
-            verts.extend(
-                f_alpha(alpha, v) | top for v in reversed(fam[phat[j]])
-            )  # f_alpha(P-hat) with suffix 1, traversed backwards
-            j = succ[j]
-        if j != start:
-            raise ConstructionError("cycle walk did not close")
+        for j in orbit:
+            verts += _block(fam[j], fam[phat[j]], alpha, 0, top)
         cycles.append(canonical_cycle(verts))
     cycles.sort(key=lambda c: c[0])
     return TwoFactor(n, state.alpha_prefix + (alpha,), tuple(cycles))
@@ -226,17 +240,8 @@ def cycle_spectrum(state: ConstructionState, alpha: AlphaVector) -> dict[int, in
     succ, _ = _successors(state, alpha)
     unit = 4 * state.n + 2
     spectrum: dict[int, int] = {}
-    visited = [False] * len(succ)
-    for start in range(len(succ)):
-        if visited[start]:
-            continue
-        size = 0
-        j = start
-        while not visited[j]:
-            visited[j] = True
-            size += 1
-            j = succ[j]
-        length = unit * size
+    for orbit in _orbits(succ):
+        length = unit * len(orbit)
         spectrum[length] = spectrum.get(length, 0) + 1
     return spectrum
 
@@ -286,58 +291,42 @@ def _next_family(
     return tuple(parts)
 
 
-def _full_paths(
-    state: ConstructionState, wanted: set[int]
-) -> dict[int, tuple[Path, ...]]:
-    """Full paths of the families in wanted, kept in the state.
+def _paths(state: ConstructionState, k: int) -> tuple[Path, ...]:
+    """Full paths of family k, kept in the state.
 
-    Walks up the origins to the nearest state that has the paths needed,
-    then expands them level by level by the rule _advance applied to their
-    triples, reusing each step's succ and phat.  A level-n+1 family k
-    needs the parent's families k, k-1 and k-2 (the middle family n for
-    k = n+1), and only the families needed are expanded.  Intermediate
-    levels are not kept, so at most two levels of paths are held at once.
+    Expands the parent's families by the rule _advance applies to their
+    triples, reusing the parent step's succ and phat: the arc that replaces
+    path i of the middle family is p[1], then block i with the suffixes 01
+    and 11 and without its first vertex, then the first vertex of path
+    succ[i] with the suffix 01.  Each parent family is expanded only when
+    it is read.
     """
-    chain = []
-    top, need = state, set(wanted)
-    while not need <= top._paths.keys():
-        if top.origin is None:
-            raise ConstructionError(
-                f"state at level {top.n} has no origin and no stored paths "
-                f"for families {sorted(need - top._paths.keys())}"
-            )
-        chain.append((top, need))
-        top = top.origin[0]
-        need = {j for k in need for j in (k, k - 1, k - 2)} & top.ends.keys()
-    paths = {k: top._paths[k] for k in need}
-    for child, need in reversed(chain):
-        paths = _expand_level(child, need, paths)
-    state._paths.update(paths)
-    return paths
-
-
-def _expand_level(
-    state: ConstructionState, need: set[int], parent: dict[int, tuple[Path, ...]]
-) -> dict[int, tuple[Path, ...]]:
-    """Full paths of the state's families in need, from the full paths of
-    its parent's families."""
-    _, alpha, succ, phat = state.origin
-    n = state.n - 1
+    paths = state._paths.get(k)
+    if paths is not None:
+        return paths
+    if state.origin is None:
+        raise ConstructionError(
+            f"state at level {state.n} has no origin and no stored paths "
+            f"for family {k}"
+        )
+    parent, alpha, succ, phat = state.origin
+    n = parent.n
     s01 = 2 << (2 * n)
     s11 = 3 << (2 * n)
-    mid = parent.get(n, ())
-    arcs = lambda: [
-        (p[1],)
-        + tuple(v | s01 for v in p[1:])
-        + tuple(f_alpha(alpha, v) | s11 for v in reversed(mid[phat[i]]))
-        + (mid[succ[i]][0] | s01,)
-        for i, p in enumerate(mid)
-    ]
+    get = lambda j: _paths(parent, j) if j in parent.ends else ()
+
+    def arcs():
+        mid = get(n)
+        return [
+            (p[1],)
+            + tuple(_block(p[1:], mid[phat[i]], alpha, s01, s11))
+            + (mid[succ[i]][0] | s01,)
+            for i, p in enumerate(mid)
+        ]
+
     shift = lambda fam, s: [tuple(v | s for v in p) for p in fam]
-    return {
-        k: _next_family(n, k, lambda j: parent.get(j, ()), shift, arcs)
-        for k in need
-    }
+    paths = state._paths[k] = _next_family(n, k, get, shift, arcs)
+    return paths
 
 
 def state_for_prefix(

@@ -54,6 +54,8 @@ class SearchJob:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.checkpoint < 0:
+            raise ValueError(f"checkpoint must be at least 0, got {self.checkpoint}")
         if self.mode not in ("exhaustive", "random", "targeted"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "exhaustive" and self.n > EXHAUSTIVE_BOUND:
@@ -64,27 +66,6 @@ class SearchJob:
             raise ValueError(f"{self.mode} mode requires a seed")
         if self.mode == "targeted" and self.target_counts is None:
             raise ValueError("targeted mode requires target counts")
-
-
-@dataclass
-class SearchRecord:
-    index: int
-    alphas: ParameterSequence
-    spectrum: dict[int, int]
-    wall_ms: float = 0.0
-
-    @property
-    def num_cycles(self) -> int:
-        return sum(self.spectrum.values())
-
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "alpha": format_sequence(self.alphas),
-            "num_cycles": self.num_cycles,
-            "spectrum": {str(k): v for k, v in sorted(self.spectrum.items())},
-            "wall_ms": round(self.wall_ms, 3),
-        }
 
 
 def alpha_vectors(level: int) -> list[AlphaVector]:
@@ -272,11 +253,17 @@ def run_search(job: SearchJob, out_path=None) -> SearchSummary:
                 if targets is not None:
                     summary.hits += 1
                 t1 = time.perf_counter()
-                rec = SearchRecord(idx, seq, sp, (t1 - t0) * 1000.0)
+                if out is not None:
+                    rec = {
+                        "index": idx,
+                        "alpha": format_sequence(seq),
+                        "num_cycles": ncyc,
+                        "spectrum": {str(k): v for k, v in sorted(sp.items())},
+                        "wall_ms": round((t1 - t0) * 1000.0, 3),
+                    }
+                    out.write(json.dumps(rec) + "\n")
                 t0 = t1
                 summary.written += 1
-                if out is not None:
-                    out.write(json.dumps(rec.to_json()) + "\n")
             if job.limit is not None and summary.written >= job.limit:
                 break
             if job.mode != "exhaustive" and summary.evaluated >= job.budget:

@@ -137,6 +137,13 @@ def suite_lattice(max_len: int = 16, max_alpha_len: int = 12, max_card: int = 10
             f"{got} != catalan({n})",
         )
 
+    # recompose every split here rather than trust decompose's own
+    # asserts, which python -O strips
+    glue = {
+        D_EQ0: lambda d: (U,) + d.ell + (D,) + d.r,
+        D_GT0: lambda d: (U,) + d.ell + (U,) + d.r,
+        D_MINUS: lambda d: d.ell + (D, U) + d.r,
+    }
     bad = 0
     for m in range(max_len + 1):
         for code in range(1 << m):
@@ -151,11 +158,13 @@ def suite_lattice(max_len: int = 16, max_alpha_len: int = 12, max_card: int = 10
                 or (tag == D_MINUS and end >= 0)
             )
             try:
-                lattice.decompose(p)
+                d = lattice.decompose(p)
             except ValueError:
                 bad += in_domain
             except AssertionError:
                 bad += 1
+            else:
+                bad += glue[tag](d) != p
     res.add("decompose recomposition", bad == 0, f"{bad} failures")
     return res
 

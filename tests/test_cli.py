@@ -60,6 +60,16 @@ def test_targeted_search_requires_target(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_search_rejects_negative_checkpoint(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    for extra in (
+        ["--checkpoint", "-5"],
+        ["--mode", "random", "--seed", "1", "--checkpoint", "-3", "--limit", "3"],
+    ):
+        assert main(["search", "--n", "3", "--out", str(out)] + extra) == 2
+    assert not out.exists()
+
+
 def test_search_requires_seed(capsys):
     assert main(["search", "--n", "3", "--mode", "random"]) == 2
 

@@ -106,12 +106,11 @@ def test_build_validates_sequence():
 
 def test_k_cap_equivalence():
     # pruning the families above the target level changes no cycle
-    for text in (",1,01", ",0,11"):
-        s = seq(text)
-        n = len(s)
-        full = assemble_two_factor(state_for_prefix(s[:-1]), s[-1])
-        pruned = assemble_two_factor(state_for_prefix(s[:-1], k_cap=n), s[-1])
-        assert full.cycles == pruned.cycles
+    for n in range(1, 5):
+        for s in all_sequences(n):
+            full = assemble_two_factor(state_for_prefix(s[:-1]), s[-1])
+            pruned = assemble_two_factor(state_for_prefix(s[:-1], k_cap=n), s[-1])
+            assert full.cycles == pruned.cycles
 
 
 def test_build_is_deterministic():
@@ -213,6 +212,21 @@ def test_middle_family_starts_at_dyck_words_in_rank_order():
     for level in range(7, 10):
         for _ in range(20):
             check(state_for_prefix(random_sequence(rng, level - 1), k_cap=level))
+
+
+def test_families_do_not_depend_on_expansion_order():
+    # every state on the origin chain keeps the families it expanded, so
+    # expanding the parent's families or the middle family first, or
+    # pruning the layers above the middle, changes no path
+    for n in range(1, 6):
+        for p in all_sequences(n - 1):
+            direct = state_for_prefix(p).families
+            s = state_for_prefix(p)
+            if s.origin is not None:
+                s.origin[0].families
+            assemble_two_factor(s, alpha_vectors(n)[-1])
+            assert s.families == direct
+            assert state_for_prefix(p, k_cap=n).families == {n: direct[n]}
 
 
 def test_full_paths_need_an_origin_or_stored_paths():

@@ -4,6 +4,9 @@ The acceptance tests run the same suites at their full documented scale;
 these runs keep the suites themselves honest during development.
 """
 
+import dataclasses
+
+from midlayer import lattice
 from midlayer.suites import (
     suite_all_zero,
     suite_distinct,
@@ -22,6 +25,15 @@ def _assert_ok(res):
 
 def test_lattice_suite_small():
     _assert_ok(suite_lattice(max_len=10, max_alpha_len=8, max_card=5))
+
+
+def test_lattice_suite_recomposes_each_split(monkeypatch):
+    # a wrong split that raises nothing must still fail the suite
+    real = lattice.decompose
+    swapped = lambda p: dataclasses.replace(real(p), ell=real(p).r, r=real(p).ell)
+    monkeypatch.setattr(lattice, "decompose", swapped)
+    res = suite_lattice(max_len=6, max_alpha_len=2, max_card=1)
+    assert any(f.startswith("decompose recomposition") for f in res.failures)
 
 
 def test_trees_suite_small():
