@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import analysis, suites, trees
@@ -67,6 +68,13 @@ def cmd_build(args) -> int:
 def cmd_table1(args) -> int:
     n_max = args.n
     if not _at_least_one(n=n_max, workers=args.workers):
+        return EXIT_PARSE
+    cpus = os.cpu_count() or 1
+    if args.workers > cpus:
+        print(
+            f"error: --workers must be at most the CPU count {cpus}, got {args.workers}",
+            file=sys.stderr,
+        )
         return EXIT_PARSE
     if n_max > 7:
         print("error: counts are embedded only through n=7", file=sys.stderr)

@@ -16,11 +16,11 @@ permutation.
 
 That permutation reads only the first and last vertex of each path, so a
 state stores each path as its endpoint triple (first, second, last).  The
-first vertices of a level-n middle family are the Dyck words of length
-2n, and a family is sorted by first vertex, so path j starts at the j-th
-smallest Dyck word in every state of a level: the first-vertex side of
-the permutation is a per-(n, alpha) table over path indices, and only
-the last vertices are looked up in a per-state map.
+first and last vertices of a level-n middle family are the Dyck and the
+D_MINUS words of length 2n, each set mapped onto itself by f_alpha, so
+both sides of the permutation are per-(n, alpha) tables over word ranks:
+sorted by first vertex, path j starts at the j-th smallest Dyck word,
+and each state keeps its path indices in the order of their last vertex.
 Triples are closed under the level step: a path shifted into a copy of
 the cube is its triple OR the shift, and the arc that replaces path i of
 the middle family is (p[1], p[1] | s01, first of path succ[i] | s01).  A
@@ -90,9 +90,17 @@ class ConstructionState:
         return {k: _paths(self, k) for k in sorted(self.ends)}
 
     @cached_property
-    def _last_index(self) -> dict[int, int]:
-        """Index in the middle family of each last vertex."""
-        return {t[2]: i for i, t in enumerate(self.ends[self.n])}
+    def _by_last(self) -> list[int]:
+        """Middle-family path indices sorted by last vertex, checked to end
+        at the D_MINUS words of length 2n: path _by_last[r] ends at the r-th."""
+        fam = self.ends.get(self.n, ())
+        at = sorted(range(len(fam)), key=lambda i: fam[i][2])
+        _, (last_rank, _) = _level_tables(self.n)
+        if [fam[i][2] for i in at] != list(last_rank):
+            raise ConstructionError(
+                f"middle family at level {self.n} does not end at the D_MINUS words"
+            )
+        return at
 
 
 @dataclass(frozen=True)
@@ -115,42 +123,40 @@ def base_state(k_cap: int | None = None) -> ConstructionState:
 
 
 @lru_cache(maxsize=None)
-def _level_tables(n: int) -> tuple[dict[int, int], list[int], dict[int, int]]:
-    """Per level n: the rank of each Dyck word of length 2n (the first
-    vertices of a middle family, in path order), reverse_invert on those
-    words in rank order, and reverse_invert on the possible last vertices."""
+def _level_tables(n: int) -> tuple[tuple[dict[int, int], list[int]], ...]:
+    """Per level n, for the Dyck words of length 2n (the first vertices of
+    a middle family) and then the D_MINUS words (its last vertices): the
+    rank of each word in sorted order, and reverse_invert on the words in
+    rank order."""
     m = 2 * n
-    dyck = sorted(lattice.dyck_bitstrings(m))
-    return (
-        {x: j for j, x in enumerate(dyck)},
-        [reverse_invert(x, m) for x in dyck],
-        {x: reverse_invert(x, m) for x in lattice.dminus_bitstrings(m)},
+    words = (lattice.dyck_bitstrings(m), lattice.dminus_bitstrings(m))
+    return tuple(
+        ({x: r for r, x in enumerate(w)}, [reverse_invert(x, m) for x in w])
+        for w in map(sorted, words)
     )
 
 
 @lru_cache(maxsize=4096)
-def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], dict[int, int]]:
-    """Per (n, alpha): fb[j], the index of the middle-family path that
-    starts at f_alpha of the start of path j, and the inverse of f_alpha on
-    the possible last vertices of middle families.
+def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], ...]:
+    """Per (n, alpha): fb[j], the rank of f_alpha of the j-th Dyck word of
+    length 2n, and lb[r], the rank of the inverse of f_alpha on the r-th
+    D_MINUS word.
 
     Reversal carries the pair at positions (2i, 2i+1) to the pair n-i, so
     f_alpha(alpha, x) = pi_alpha(alpha[::-1], reverse_invert(x)): with the
-    reversals kept per n, only the pair swap depends on alpha.
+    reversals kept per n, only the pair swap depends on alpha.  The
+    inverse f_alpha(alpha[::-1], .) swaps the pairs of alpha itself.
     """
-    rank, firsts, lasts = _level_tables(n)
-    # fb is f_alpha(alpha, .); lb is its inverse f_alpha(alpha[::-1], .),
-    # whose pair swap is alpha's own
-    mf = pair_mask(alpha[::-1])
-    ml = pair_mask(alpha)
+    masks = (pair_mask(alpha[::-1]), pair_mask(alpha))
     try:
-        fb = [rank[_swap_pairs(r, mf)] for r in firsts]
+        return tuple(
+            [rank[_swap_pairs(r, mask)] for r in ris]
+            for (rank, ris), mask in zip(_level_tables(n), masks)
+        )
     except KeyError as exc:  # pragma: no cover - guards a construction bug
         raise ConstructionError(
-            f"f_alpha image {exc.args[0]} is not a Dyck word"
+            f"f_alpha image {exc.args[0]} is not a family endpoint"
         ) from exc
-    lb = {x: _swap_pairs(r, ml) for x, r in lasts.items()}
-    return fb, lb
 
 
 def _successors(
@@ -158,24 +164,17 @@ def _successors(
 ) -> tuple[list[int], list[int]]:
     """For each path index i of the middle family: phat[i], the path whose
     image block follows path i on its cycle, and succ[i], the path after
-    that.  Raises if an f_alpha image endpoint leaves the first/last sets.
-    """
+    that."""
     n = state.n
     if len(alpha) != n - 1:
         raise ConstructionError(
             f"alpha has length {len(alpha)}, expected {n - 1}"
         )
-    fam = state.ends.get(n)
-    if fam is None:
-        raise ConstructionError(f"state has no middle family at level {n}")
-    lmap = state._last_index
+    at = state._by_last
     fb, lb = _alpha_tables(n, alpha)
-    try:
-        phat = [lmap[lb[t[2]]] for t in fam]
-    except KeyError as exc:  # pragma: no cover - guards a construction bug
-        raise ConstructionError(
-            f"f_alpha image {exc.args[0]} is not a family endpoint"
-        ) from exc
+    phat = [0] * len(at)
+    for r, i in enumerate(at):
+        phat[i] = at[lb[r]]
     succ = [fb[j] for j in phat]
     return succ, phat
 

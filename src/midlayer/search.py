@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from random import Random
@@ -54,6 +55,11 @@ class SearchJob:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        cpus = os.cpu_count() or 1
+        if self.workers > cpus:
+            raise ValueError(
+                f"workers must be at most the CPU count {cpus}, got {self.workers}"
+            )
         if self.checkpoint < 0:
             raise ValueError(f"checkpoint must be at least 0, got {self.checkpoint}")
         if self.mode not in ("exhaustive", "random", "targeted"):
@@ -227,7 +233,9 @@ def run_search(job: SearchJob, out_path=None) -> SearchSummary:
     """Evaluate sequences per the job and append JSONL records.
 
     Every evaluated sequence is logged unless target counts are given, in
-    which case only matches are logged.  Every mode stops after ``limit``
+    which case only matches are logged.  A record's wall_ms is the time
+    since the previous evaluated sequence, logged or not (or since the
+    start, for the first).  Every mode stops after ``limit``
     records; random and targeted modes also stop after ``budget``
     evaluations.  Every record's parity is checked against the closed-form
     prediction.
@@ -242,6 +250,9 @@ def run_search(job: SearchJob, out_path=None) -> SearchSummary:
     try:
         t0 = time.perf_counter()
         for idx, seq, sp in stream:
+            t1 = time.perf_counter()
+            wall_ms = round((t1 - t0) * 1000.0, 3)
+            t0 = t1
             summary.evaluated += 1
             summary.last_index = idx
             ncyc = sum(sp.values())
@@ -252,17 +263,15 @@ def run_search(job: SearchJob, out_path=None) -> SearchSummary:
             if targets is None or ncyc in targets:
                 if targets is not None:
                     summary.hits += 1
-                t1 = time.perf_counter()
                 if out is not None:
                     rec = {
                         "index": idx,
                         "alpha": format_sequence(seq),
                         "num_cycles": ncyc,
                         "spectrum": {str(k): v for k, v in sorted(sp.items())},
-                        "wall_ms": round((t1 - t0) * 1000.0, 3),
+                        "wall_ms": wall_ms,
                     }
                     out.write(json.dumps(rec) + "\n")
-                t0 = t1
                 summary.written += 1
             if job.limit is not None and summary.written >= job.limit:
                 break

@@ -109,33 +109,49 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def _exact_div(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"{a} is not divisible by {b}")
+    return q
+
+
+def _central_binomial_divisor_sum(n: int, mobius: bool) -> int:
+    """Sum over the divisors d of n of w(n/d) * C(2d, d), where w is the
+    Möbius function if mobius is set and Euler's totient otherwise; both
+    are read off the factorization of n/d by trial division."""
+    total = 0
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        rest, w, p = n // d, 1, 2
+        while rest > 1:
+            k = 0
+            while rest % p == 0:
+                rest //= p
+                k += 1
+            if k:
+                w *= (-1 if k == 1 else 0) if mobius else (p - 1) * p ** (k - 1)
+            p += 1
+        total += w * comb(2 * d, d)
+    return total
+
+
 @lru_cache(maxsize=256)
 def count_plane_trees(n: int) -> int:
     """Number of plane trees with n edges (n+1 vertices)."""
-    from sympy import divisors, totient
-
     if n < 1:
         raise ValueError("need n >= 1")
-    total = sum(int(totient(n // d)) * comb(2 * d, d) for d in divisors(n))
-    r, rem = divmod(total, 2 * n)
-    assert rem == 0
+    r = _exact_div(_central_binomial_divisor_sum(n, mobius=False), 2 * n)
     odd_term = catalan((n - 1) // 2) if n % 2 else 0
-    half, rem = divmod(catalan(n) - odd_term, 2)
-    assert rem == 0
-    return r - half
+    return r - _exact_div(catalan(n) - odd_term, 2)
 
 
 @lru_cache(maxsize=256)
 def count_asymmetric(n: int) -> int:
     """Number of plane trees with n edges whose rotation class has full size 2n."""
-    from sympy import divisors, mobius
-
     if n < 1:
         raise ValueError("need n >= 1")
-    total = sum(int(mobius(n // d)) * comb(2 * d, d) for d in divisors(n))
-    r, rem = divmod(total, 2 * n)
-    assert rem == 0
+    r = _exact_div(_central_binomial_divisor_sum(n, mobius=True), 2 * n)
     odd_term = catalan((n - 1) // 2) if n % 2 else 0
-    half, rem = divmod(catalan(n) + odd_term, 2)
-    assert rem == 0
-    return r - half
+    return r - _exact_div(catalan(n) + odd_term, 2)

@@ -1,4 +1,5 @@
 import json
+import os
 
 from midlayer.cli import main
 
@@ -128,6 +129,19 @@ def test_search_rejects_workers_below_one(capsys):
 def test_table1_rejects_workers_below_one(capsys):
     assert main(["table1", "--n", "3", "--workers", "0"]) == 2
     assert main(["table1", "--n", "3", "--workers", "-2"]) == 2
+
+
+def test_workers_above_cpu_count_exit_before_any_pool(monkeypatch, tmp_path, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("midlayer.search.multiprocessing.Pool", no_pool)
+    too_many = str(os.cpu_count() + 1)
+    assert main(["table1", "--n", "3", "--workers", too_many]) == 2
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "r.jsonl"
+    assert main(["search", "--n", "3", "--workers", too_many, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_random_search_rejects_zero_limit(tmp_path, capsys):

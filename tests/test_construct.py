@@ -183,21 +183,32 @@ def test_full_paths_end_at_their_triples():
 
 
 def test_alpha_tables_match_f_alpha():
-    for n in range(1, 7):
+    # fb ranks f_alpha of each Dyck word, lb its inverse on each D_MINUS word
+    def check(n, alpha):
         dyck = sorted(lattice.dyck_bitstrings(2 * n))
-        lasts = lattice.dminus_bitstrings(2 * n)
+        lasts = sorted(lattice.dminus_bitstrings(2 * n))
+        fb, lb = _alpha_tables(n, alpha)
+        assert [dyck[j] for j in fb] == [f_alpha(alpha, x) for x in dyck]
+        assert [lasts[r] for r in lb] == [f_alpha(alpha[::-1], x) for x in lasts]
+
+    for n in range(1, 7):
         for alpha in product((0, 1), repeat=n - 1):
-            fb, lb = _alpha_tables(n, alpha)
-            assert [dyck[j] for j in fb] == [f_alpha(alpha, x) for x in dyck]
-            assert lb == {x: f_alpha(alpha[::-1], x) for x in lasts}
+            check(n, alpha)
+    rng = Random(6)
+    for n in range(7, 11):
+        for _ in range(3):
+            check(n, tuple(rng.randint(0, 1) for _ in range(n - 1)))
 
 
 def test_middle_family_starts_at_dyck_words_in_rank_order():
-    # the first-vertex tables index paths by Dyck-word rank, which holds
-    # only if every middle family starts at the sorted Dyck words
+    # the alpha tables index paths by word rank, which holds only if every
+    # middle family starts at the sorted Dyck words and ends at exactly the
+    # D_MINUS words
     def check(state):
         n = state.n
-        assert [t[0] for t in state.ends[n]] == sorted(lattice.dyck_bitstrings(2 * n))
+        fam = state.ends[n]
+        assert [t[0] for t in fam] == sorted(lattice.dyck_bitstrings(2 * n))
+        assert sorted(t[2] for t in fam) == sorted(lattice.dminus_bitstrings(2 * n))
 
     def walk(state):
         check(state)
@@ -212,6 +223,23 @@ def test_middle_family_starts_at_dyck_words_in_rank_order():
     for level in range(7, 10):
         for _ in range(20):
             check(state_for_prefix(random_sequence(rng, level - 1), k_cap=level))
+
+
+def test_wrong_last_vertex_is_a_construction_error():
+    # the last-vertex side of the permutation is a rank table, so a middle
+    # family that does not end at the D_MINUS words must be refused
+    s = state_for_prefix(((), (1,)))
+    fam = list(s.ends[3])
+    first, second, last = fam[0]
+    fam[0] = (first, second, last ^ 0b11)
+    bad = ConstructionState(s.n, {**s.ends, 3: tuple(fam)}, s.alpha_prefix)
+    with pytest.raises(ConstructionError, match="D_MINUS"):
+        cycle_spectrum(bad, (0, 0))
+    with pytest.raises(ConstructionError, match="D_MINUS"):
+        _advance(bad, (1, 0))
+    missing = ConstructionState(s.n, {4: s.ends[4]}, s.alpha_prefix)
+    with pytest.raises(ConstructionError, match="D_MINUS"):
+        cycle_spectrum(missing, (0, 0))
 
 
 def test_families_do_not_depend_on_expansion_order():

@@ -1,8 +1,12 @@
 import json
 import multiprocessing
+import os
+from types import SimpleNamespace
 
 import pytest
 
+from midlayer import search
+from midlayer.construct import cycle_spectrum
 from midlayer.search import (
     TABLE1_EXPECTED,
     TASKS_PER_WORKER,
@@ -72,6 +76,8 @@ def test_job_validation():
         SearchJob(n=4, mode="random")
     with pytest.raises(ValueError):
         SearchJob(n=4, mode="bogus", seed=1)
+    with pytest.raises(ValueError):
+        SearchJob(n=4, workers=os.cpu_count() + 1)
 
 
 def test_table1_counts_small():
@@ -90,6 +96,23 @@ def test_run_search_exhaustive_targeted(tmp_path):
     for l in lines:
         assert set(l) == {"index", "alpha", "num_cycles", "spectrum", "wall_ms"}
         assert l["num_cycles"] == 1
+
+
+def test_wall_ms_counts_from_the_previous_evaluated_record(tmp_path, monkeypatch):
+    # a clock that advances 1 ms per evaluated sequence: unlogged
+    # evaluations between two hits must not add to the later hit's wall_ms
+    clock = [0.0]
+
+    def spectrum(state, alpha):
+        clock[0] += 0.001
+        return cycle_spectrum(state, alpha)
+
+    monkeypatch.setattr(search, "cycle_spectrum", spectrum)
+    monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    out = tmp_path / "hits.jsonl"
+    summary = run_search(SearchJob(n=4, target_counts=frozenset({1})), out_path=out)
+    assert summary.evaluated > summary.written == 6
+    assert [json.loads(l)["wall_ms"] for l in out.read_text().splitlines()] == [1.0] * 6
 
 
 def test_run_search_appends(tmp_path):

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import pytest
 
 from midlayer.lattice import DOWN, UP, D_EQ0, enumerate_class, parse_path
 from midlayer.trees import (
+    _exact_div,
     canonical_plane_tree,
     catalan,
     count_asymmetric,
@@ -120,17 +124,39 @@ def test_catalan_values():
 
 
 def test_count_plane_trees_values():
-    assert [count_plane_trees(n) for n in range(1, 11)] == [
-        1, 1, 2, 3, 6, 14, 34, 95, 280, 854,
+    assert [count_plane_trees(n) for n in range(1, 31)] == [
+        1, 1, 2, 3, 6, 14, 34, 95, 280, 854, 2694, 8714, 28640, 95640,
+        323396, 1105335, 3813798, 13269146, 46509358, 164107650, 582538732,
+        2079165208, 7457847082, 26873059986, 97239032056, 353218528324,
+        1287658723550, 4709785569184, 17280039555348, 63583110959728,
     ]
     with pytest.raises(ValueError):
         count_plane_trees(31)
 
 
 def test_count_asymmetric_values():
-    assert [count_asymmetric(n) for n in range(1, 11)] == [
-        0, 0, 0, 1, 3, 9, 28, 85, 262, 827,
+    assert [count_asymmetric(n) for n in range(1, 31)] == [
+        0, 0, 0, 1, 3, 9, 28, 85, 262, 827, 2651, 8626, 28507, 95393,
+        322938, 1104525, 3812367, 13266366, 46504495, 164098390, 582521687,
+        2079133141, 7457788295, 26872946466, 97238824018, 353218128299,
+        1287657977946, 4709784136316, 17280036880907, 63583105779823,
     ]
+
+
+def test_inexact_division_raises():
+    # the closed forms divide exactly; a remainder is an error even under -O
+    assert _exact_div(12, 4) == 3
+    with pytest.raises(ArithmeticError):
+        _exact_div(7, 2)
+
+
+def test_tree_counts_need_no_sympy():
+    code = (
+        "import sys; from midlayer import trees; "
+        "trees.count_plane_trees(30); trees.count_asymmetric(30); "
+        "sys.exit('sympy' in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_counts_match_brute_force():
