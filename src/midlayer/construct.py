@@ -14,29 +14,32 @@ therefore reduces to a permutation on the middle family and concatenation
 of its blocks, and the cycle lengths to the orbit sizes of that
 permutation.
 
-That permutation reads only the first and last vertex of each path, so a
-state stores each path as its endpoint triple (first, second, last).  The
-first and last vertices of a level-n middle family are the Dyck and the
-D_MINUS words of length 2n, each set mapped onto itself by f_alpha, so
-both sides of the permutation are per-(n, alpha) tables over word ranks:
-sorted by first vertex, path j starts at the j-th smallest Dyck word,
-and each state keeps its path indices in the order of their last vertex.
-Triples are closed under the level step: a path shifted into a copy of
-the cube is its triple OR the shift, and the arc that replaces path i of
-the middle family is (p[1], p[1] | s01, first of path succ[i] | s01).  A
-level step and a cycle spectrum therefore cost O(#paths), not
-O(#vertices).  Full paths are needed only to assemble cycles and to check
-path structure.  A family's full paths are built on demand by the same
-rule applied to the full paths of the parent families it reads, expanded
-in turn on demand with the permutations the parent's level step stored;
-every state on the way keeps the families it expanded.
+That permutation reads only the first and last vertex of each path, so the
+level step and the cycle spectrum read each path as its endpoint triple
+(first, second, last).  The first and last vertices of a level-n middle
+family are the Dyck and the D_MINUS words of length 2n, each set mapped
+onto itself by f_alpha, so both sides of the permutation are
+per-(n, alpha) tables over word ranks: sorted by first vertex, path j
+starts at the j-th smallest Dyck word, and each state keeps its path
+indices in the order of their last vertex.
+
+A state is its level step: the parent state, the alpha and the two
+permutations of the parent's middle family.  Its families, as triples or
+as full paths, are built from the parent's families by one rule on first
+read and kept in the state.  A path shifted into a copy of the cube is the
+path OR the shift, and the arc that replaces path i of the middle family
+has the triple (p[1], p[1] | s01, first of path succ[i] | s01).  A level
+step and a cycle spectrum therefore cost O(#paths), not O(#vertices), and
+only the families the middle family of the target level reads are ever
+built.  Full paths are needed only to assemble cycles and to check path
+structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import lattice
 from .bitcube import (
@@ -56,44 +59,57 @@ class ConstructionError(Exception):
     """An internal invariant of the construction was violated."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstructionState:
-    """Path families of one level for one alpha prefix.
+    """Path families of one level for one alpha prefix, made by a level step.
 
-    ends maps k to the family in layer (k, k+1) of the 2n-cube, for
-    k = n .. min(2n-1, k_cap), each path given by its endpoint triple and
-    the family sorted by first vertex; path j of the middle family starts
-    at the j-th smallest Dyck word of length 2n.  A k_cap prunes layers
-    that a build toward a fixed target level never reads again.  origin
-    is the level step that made the state: the parent state, its alpha and
-    the permutations succ and phat of the parent's middle family (None at
-    level 1).  _paths holds the full paths of the families expanded so
-    far.  Make states only through base_state and state_for_prefix: a
-    state built by hand from full paths in ends would be read as wrong
-    triples.
+    parent is the state one level down (None at level 1), alpha the alpha
+    vector of the parent's level, and succ and phat the permutations that
+    _successors gives for the parent's middle family and alpha.  Family k
+    lives in the layer (k, k+1) of the 2n-cube, k = n .. 2n-1, sorted by
+    first vertex; path j of the middle family starts at the j-th smallest
+    Dyck word of length 2n.  ends and families list the families up to
+    k_cap.
     """
 
-    n: int
-    ends: dict[int, tuple[Ends, ...]]
-    alpha_prefix: ParameterSequence
+    parent: ConstructionState | None = field(repr=False)
+    alpha: AlphaVector
+    succ: list[int] = field(repr=False)
+    phat: list[int] = field(repr=False)
     k_cap: int | None = None
-    origin: tuple[ConstructionState, AlphaVector, list[int], list[int]] | None = field(
-        default=None, compare=False, repr=False
+    _built: dict[tuple[int, bool], tuple] = field(
+        default_factory=dict, init=False, repr=False
     )
-    _paths: dict[int, tuple[Path, ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+
+    @cached_property
+    def n(self) -> int:
+        return 1 if self.parent is None else self.parent.n + 1
+
+    @cached_property
+    def alpha_prefix(self) -> ParameterSequence:
+        if self.parent is None:
+            return ()
+        return self.parent.alpha_prefix + (self.alpha,)
+
+    def _listed(self) -> range:
+        top = 2 * self.n if self.k_cap is None else min(2 * self.n, self.k_cap + 1)
+        return range(self.n, top)
+
+    @property
+    def ends(self) -> dict[int, tuple[Ends, ...]]:
+        """The endpoint triple of every path of every listed family."""
+        return {k: _family(self, k, False) for k in self._listed()}
 
     @property
     def families(self) -> dict[int, tuple[Path, ...]]:
-        """The full paths of every family, sorted by first vertex."""
-        return {k: _paths(self, k) for k in sorted(self.ends)}
+        """The full paths of every listed family."""
+        return {k: _family(self, k, True) for k in self._listed()}
 
     @cached_property
     def _by_last(self) -> list[int]:
         """Middle-family path indices sorted by last vertex, checked to end
         at the D_MINUS words of length 2n: path _by_last[r] ends at the r-th."""
-        fam = self.ends.get(self.n, ())
+        fam = _family(self, self.n, False)
         at = sorted(range(len(fam)), key=lambda i: fam[i][2])
         _, (last_rank, _) = _level_tables(self.n)
         if [fam[i][2] for i in at] != list(last_rank):
@@ -118,8 +134,7 @@ class TwoFactor:
 
 def base_state(k_cap: int | None = None) -> ConstructionState:
     """Level 1: the single oriented path 10 -> 11 -> 01 in the 2-cube."""
-    path = (0b01, 0b11, 0b10)
-    return ConstructionState(1, {1: (path,)}, (), k_cap, _paths={1: (path,)})
+    return ConstructionState(None, (), [], [], k_cap)
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +233,7 @@ def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFact
     into the 2-factor of the middle layer of the (2n+1)-cube."""
     n = state.n
     succ, phat = _successors(state, alpha)
-    fam = _paths(state, n)
+    fam = _family(state, n, True)
     top = 1 << (2 * n)
     cycles = []
     for orbit in _orbits(succ):
@@ -246,86 +261,55 @@ def cycle_spectrum(state: ConstructionState, alpha: AlphaVector) -> dict[int, in
 
 
 def _advance(state: ConstructionState, alpha: AlphaVector) -> ConstructionState:
-    """Build the level n+1 families from the level n state and alpha."""
-    n = state.n
-    fam = state.ends[n]
+    """The level n+1 state of the level n state and alpha."""
     succ, phat = _successors(state, alpha)
-    s01 = 2 << (2 * n)
-    # Each deleted first edge of the 2-factor leaves an arc from the old
-    # second vertex to the next first vertex; prepend the matching edge
-    # into the 00-copy and push the arc into the 1-copies.
-    arcs = lambda: [(p[1], p[1] | s01, fam[j][0] | s01) for p, j in zip(fam, succ)]
-    shift = lambda fam, s: [(a | s, b | s, c | s) for a, b, c in fam]
-    kmax = 2 * n + 1
-    if state.k_cap is not None:
-        kmax = min(kmax, state.k_cap)
-    ends = {
-        k: _next_family(n, k, lambda j: state.ends.get(j, ()), shift, arcs)
-        for k in range(n + 1, kmax + 1)
-    }
-    return ConstructionState(
-        n + 1, ends, state.alpha_prefix + (alpha,), state.k_cap,
-        origin=(state, alpha, succ, phat),
-    )
+    return ConstructionState(state, alpha, succ, phat, state.k_cap)
 
 
-def _next_family(
-    n: int,
-    k: int,
-    get: Callable[[int], tuple],
-    shift: Callable[[tuple, int], list],
-    arcs: Callable[[], list],
-) -> tuple:
-    """Family k of level n+1 from the level-n families get(j): family k,
-    family k-1 shifted into the 10-copy, and either the arcs() that replace
-    the middle family (k = n+1) or family k-1 in the 01-copy and family
-    k-2 in the 11-copy.  The same rule serves triples and full paths."""
-    m = 2 * n
-    parts = list(get(k)) + shift(get(k - 1), 1 << m)
-    if k == n + 1:
-        parts += arcs()
-    else:
-        parts += shift(get(k - 1), 2 << m) + shift(get(k - 2), 3 << m)
-    parts.sort()  # first vertices are distinct, so this sorts by them
-    return tuple(parts)
+def _family(state: ConstructionState, k: int, full: bool) -> tuple:
+    """Family k of the state, as endpoint triples or as full paths, built
+    on first read and kept in the state.
 
-
-def _paths(state: ConstructionState, k: int) -> tuple[Path, ...]:
-    """Full paths of family k, kept in the state.
-
-    Expands the parent's families by the rule _advance applies to their
-    triples, reusing the parent step's succ and phat: the arc that replaces
-    path i of the middle family is p[1], then block i with the suffixes 01
-    and 11 and without its first vertex, then the first vertex of path
-    succ[i] with the suffix 01.  Each parent family is expanded only when
-    it is read.
+    Family k of level n+1 is family k of level n, family k-1 shifted into
+    the 10-copy, and either the arcs that replace the middle family
+    (k = n+1) or family k-1 in the 01-copy and family k-2 in the 11-copy.
+    Each deleted first edge of the 2-factor leaves an arc from the old
+    second vertex to the next first vertex: the arc that replaces path i is
+    p[1], then block i with the suffixes 01 and 11 and without its first
+    vertex, then the first vertex of path succ[i] with the suffix 01.
     """
-    paths = state._paths.get(k)
-    if paths is not None:
-        return paths
-    if state.origin is None:
-        raise ConstructionError(
-            f"state at level {state.n} has no origin and no stored paths "
-            f"for family {k}"
-        )
-    parent, alpha, succ, phat = state.origin
-    n = parent.n
-    s01 = 2 << (2 * n)
-    s11 = 3 << (2 * n)
-    get = lambda j: _paths(parent, j) if j in parent.ends else ()
-
-    def arcs():
-        mid = get(n)
-        return [
-            (p[1],)
-            + tuple(_block(p[1:], mid[phat[i]], alpha, s01, s11))
-            + (mid[succ[i]][0] | s01,)
-            for i, p in enumerate(mid)
-        ]
-
-    shift = lambda fam, s: [tuple(v | s for v in p) for p in fam]
-    paths = state._paths[k] = _next_family(n, k, get, shift, arcs)
-    return paths
+    fam = state._built.get((k, full))
+    if fam is not None:
+        return fam
+    parent = state.parent
+    if parent is None:
+        # the single path 10 -> 11 -> 01 is its own triple
+        fam = ((0b01, 0b11, 0b10),) if k == 1 else ()
+    else:
+        n, m = parent.n, 2 * parent.n
+        get = lambda j: _family(parent, j, full) if n <= j < m else ()
+        if full:
+            shift = lambda fam, s: [tuple(v | s for v in p) for p in fam]
+        else:
+            shift = lambda fam, s: [(a | s, b | s, c | s) for a, b, c in fam]
+        parts = list(get(k)) + shift(get(k - 1), 1 << m)
+        if k == n + 1:
+            mid, s01, s11 = get(n), 2 << m, 3 << m
+            if full:
+                parts += [
+                    (p[1], *_block(p[1:], mid[h], state.alpha, s01, s11), mid[j][0] | s01)
+                    for p, j, h in zip(mid, state.succ, state.phat)
+                ]
+            else:  # the (first, second, last) of the full arc
+                parts += [
+                    (p[1], p[1] | s01, mid[j][0] | s01) for p, j in zip(mid, state.succ)
+                ]
+        else:
+            parts += shift(get(k - 1), 2 << m) + shift(get(k - 2), 3 << m)
+        parts.sort()  # first vertices are distinct, so this sorts by them
+        fam = tuple(parts)
+    state._built[k, full] = fam
+    return fam
 
 
 def state_for_prefix(
@@ -352,7 +336,7 @@ def build(seq: ParameterSequence) -> TwoFactor:
 
 def fsl_sets(state: ConstructionState, k: int) -> tuple[set[int], set[int], set[int]]:
     """First, second and last vertex sets of family k."""
-    fam = state.ends[k]
+    fam = _family(state, k, False)
     return (
         {t[0] for t in fam},
         {t[1] for t in fam},

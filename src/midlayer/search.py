@@ -68,6 +68,8 @@ class SearchJob:
             raise ValueError(
                 f"exhaustive search limited to n <= {EXHAUSTIVE_BOUND}"
             )
+        if self.mode != "exhaustive" and self.workers > 1:
+            raise ValueError(f"{self.mode} mode runs serially; workers must be 1")
         if self.mode in ("random", "targeted") and self.seed is None:
             raise ValueError(f"{self.mode} mode requires a seed")
         if self.mode == "targeted" and self.target_counts is None:

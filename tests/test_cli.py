@@ -170,3 +170,31 @@ def test_targeted_search_rejects_zero_budget(capsys):
         "--target", "1", "--budget", "0",
     ])
     assert code == 2
+
+
+def test_table1_starts_one_pool(monkeypatch, capsys):
+    # only the last level is swept by the worker pool
+    import multiprocessing
+
+    pools, real_pool = [], multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    assert main(["table1", "--n", "4"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr("midlayer.search.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("midlayer.search.multiprocessing.Pool", counting_pool)
+    assert main(["table1", "--n", "4", "--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert pools == [(2,)]
+
+
+def test_serial_search_modes_reject_workers(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("midlayer.search.os.cpu_count", lambda: 2)
+    out = tmp_path / "r.jsonl"
+    for extra in (["--mode", "random"], ["--mode", "targeted", "--target", "1"]):
+        args = ["search", "--n", "3", "--seed", "1", "--workers", "2", "--out", str(out)]
+        assert main(args + extra) == 2
+    assert not out.exists()

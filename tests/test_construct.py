@@ -10,7 +10,6 @@ from midlayer.analysis import spectrum, verify_two_factor
 from midlayer.bitcube import f_alpha, parse_bits, parse_sequence
 from midlayer.construct import (
     ConstructionError,
-    ConstructionState,
     _advance,
     _alpha_tables,
     assemble_two_factor,
@@ -228,41 +227,46 @@ def test_middle_family_starts_at_dyck_words_in_rank_order():
 def test_wrong_last_vertex_is_a_construction_error():
     # the last-vertex side of the permutation is a rank table, so a middle
     # family that does not end at the D_MINUS words must be refused
-    s = state_for_prefix(((), (1,)))
-    fam = list(s.ends[3])
-    first, second, last = fam[0]
-    fam[0] = (first, second, last ^ 0b11)
-    bad = ConstructionState(s.n, {**s.ends, 3: tuple(fam)}, s.alpha_prefix)
+    def spoiled():
+        s = state_for_prefix(((), (1,)))
+        fam = list(s.ends[3])
+        first, second, last = fam[0]
+        fam[0] = (first, second, last ^ 0b11)
+        s._built[3, False] = tuple(fam)
+        return s
+
     with pytest.raises(ConstructionError, match="D_MINUS"):
-        cycle_spectrum(bad, (0, 0))
+        cycle_spectrum(spoiled(), (0, 0))
     with pytest.raises(ConstructionError, match="D_MINUS"):
-        _advance(bad, (1, 0))
-    missing = ConstructionState(s.n, {4: s.ends[4]}, s.alpha_prefix)
-    with pytest.raises(ConstructionError, match="D_MINUS"):
-        cycle_spectrum(missing, (0, 0))
+        _advance(spoiled(), (1, 0))
 
 
 def test_families_do_not_depend_on_expansion_order():
-    # every state on the origin chain keeps the families it expanded, so
-    # expanding the parent's families or the middle family first, or
+    # every state on the parent chain keeps the families it built, so
+    # building the parent's families or the middle family first, or
     # pruning the layers above the middle, changes no path
     for n in range(1, 6):
         for p in all_sequences(n - 1):
             direct = state_for_prefix(p).families
             s = state_for_prefix(p)
-            if s.origin is not None:
-                s.origin[0].families
+            if s.parent is not None:
+                s.parent.families
             assemble_two_factor(s, alpha_vectors(n)[-1])
             assert s.families == direct
             assert state_for_prefix(p, k_cap=n).families == {n: direct[n]}
 
 
-def test_full_paths_need_an_origin_or_stored_paths():
-    # a hand-made state has triples but neither paths nor a level step to
-    # replay them from
-    s = state_for_prefix(((),))
-    bare = ConstructionState(s.n, s.ends, s.alpha_prefix)
-    with pytest.raises(ConstructionError, match="no origin"):
-        bare.families
-    with pytest.raises(ConstructionError, match="no origin"):
-        assemble_two_factor(bare, (0,))
+def test_no_family_above_the_target_level_is_built():
+    # families are built on first read, so a spectrum and an assembly at
+    # level n build no family above n anywhere on the parent chain,
+    # whatever k_cap lists
+    for n in range(1, 6):
+        for p in all_sequences(n - 1):
+            for k_cap in (n, None):
+                s = state_for_prefix(p, k_cap=k_cap)
+                alpha = alpha_vectors(n)[-1]
+                cycle_spectrum(s, alpha)
+                assemble_two_factor(s, alpha)
+                while s is not None:
+                    assert s._built and max(k for k, _ in s._built) <= n
+                    s = s.parent

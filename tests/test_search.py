@@ -78,6 +78,8 @@ def test_job_validation():
         SearchJob(n=4, mode="bogus", seed=1)
     with pytest.raises(ValueError):
         SearchJob(n=4, workers=os.cpu_count() + 1)
+    with pytest.raises(ValueError):
+        SearchJob(n=4, mode="random", seed=1, workers=2)
 
 
 def test_table1_counts_small():
