@@ -330,7 +330,7 @@ def build(seq: ParameterSequence) -> TwoFactor:
     for i, a in enumerate(seq, start=1):
         if len(a) != i - 1:
             raise ValueError(f"alpha vector {i} has length {len(a)}, expected {i - 1}")
-    state = state_for_prefix(seq[:-1], k_cap=n)
+    state = state_for_prefix(seq[:-1])
     return assemble_two_factor(state, seq[-1])
 
 

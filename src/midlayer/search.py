@@ -6,11 +6,14 @@ a fixed prefix at the target level, each choice of the final alpha vector
 only costs one pass over the middle family.  Sequences are totally
 ordered by the mixed-radix index whose most significant digit is the
 level-2 alpha and least significant the final one; checkpoints and resume
-are expressed in that index.
+are expressed in that index.  A parallel sweep gives each worker task the
+subtree below one level-(n-1) state, so the task layout depends only on n
+and the start index.
 
 Random and targeted modes sample alpha vectors uniformly per level from a
-seeded generator; targeted mode stops once enough hits with the desired
-cycle counts were found.
+seeded generator; targeted mode logs only the sequences with the desired
+cycle counts.  Every mode stops after ``limit`` logged records, and random
+and targeted modes also after ``budget`` evaluations.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def iter_exhaustive(
 ) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
     """Yield (index, sequence, spectrum) for all sequences targeting level
     n with index >= start, in index order."""
-    yield from _walk(state_for_prefix((), k_cap=n), n, start, 0)
+    yield from _walk(state_for_prefix(()), n, start, 0)
 
 
 def _walk(
@@ -140,41 +143,28 @@ def iter_random(
     while True:
         seq = random_sequence(rng, n)
         if idx >= start:
-            state = state_for_prefix(seq[:-1], k_cap=n)
+            state = state_for_prefix(seq[:-1])
             yield idx, seq, cycle_spectrum(state, seq[-1])
         idx += 1
 
 
 # --- parallel exhaustive sweep -----------------------------------------------
 
-# The sweep is cut into at least this many subtrees per worker, so that no
-# task holds more than a small share of the sweep's records at once and the
-# first records arrive after a small share of its time.
-TASKS_PER_WORKER = 4
-
-
-def _split_level(n: int, workers: int) -> int:
-    """Shallowest level with at least TASKS_PER_WORKER * workers prefixes,
-    or n if no level below n has that many."""
-    for level in range(1, n):
-        if num_sequences(level - 1) >= TASKS_PER_WORKER * workers:
-            return level
-    return n
-
 
 def _worker_sweep(args) -> list[tuple[int, ParameterSequence, dict[int, int]]]:
     n, prefix, base, start = args
-    return list(_walk(state_for_prefix(prefix, k_cap=n), n, start, base))
+    return list(_walk(state_for_prefix(prefix), n, start, base))
 
 
-def _sweep_tasks(n: int, workers: int, start: int = 0) -> list[tuple]:
+def _sweep_tasks(n: int, start: int = 0) -> list[tuple]:
     """Worker tasks of a parallel sweep from index start, in index order:
-    one subtree each, split at _split_level(n, workers)."""
-    level = _split_level(n, workers)
-    sub = num_sequences(n) // num_sequences(level - 1)
+    one per prefix of max(n-2, 0) alphas, that is the subtree below one
+    level-(n-1) state, holding 2^(2n-3) sequences for n >= 2."""
+    depth = max(n - 2, 0)
+    sub = num_sequences(n) // num_sequences(depth)
     return [
         (n, prefix, i * sub, start)
-        for i, prefix in enumerate(all_sequences(level - 1))
+        for i, prefix in enumerate(all_sequences(depth))
         if (i + 1) * sub > start
     ]
 
@@ -184,15 +174,15 @@ def iter_exhaustive_parallel(
 ) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
     """Same stream as iter_exhaustive, produced by a worker pool.
 
-    The prefix tree is split at the shallowest level with at least
-    TASKS_PER_WORKER subtrees per worker, one task per subtree; record
-    order is preserved by consuming subtrees in index order.
+    Each task is the subtree below one level-(n-1) state, whatever the
+    number of workers, so a task's records and a worker's memory stay
+    small; record order is preserved by consuming tasks in index order.
     """
     if workers <= 1:
         yield from iter_exhaustive(n, start=start)
         return
     with multiprocessing.Pool(workers) as pool:
-        for chunk in pool.imap(_worker_sweep, _sweep_tasks(n, workers, start)):
+        for chunk in pool.imap(_worker_sweep, _sweep_tasks(n, start)):
             yield from chunk
 
 

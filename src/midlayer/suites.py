@@ -424,7 +424,7 @@ def suite_all_zero(n_max: int = 9) -> SuiteResult:
     expected_cycles = {n: trees.count_plane_trees(n) for n in range(1, n_max + 1)}
     for n in range(1, n_max + 1):
         seq = _all_zero(n)
-        sp = construct.cycle_spectrum(state_for_prefix(seq[:-1], k_cap=n), seq[-1])
+        sp = construct.cycle_spectrum(state_for_prefix(seq[:-1]), seq[-1])
         ncyc = sum(sp.values())
         res.add(
             f"n={n} cycle count", ncyc == expected_cycles[n],

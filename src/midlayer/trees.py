@@ -13,7 +13,6 @@ smallest Dyck word among its members.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .lattice import DOWN, UP, Path
@@ -137,7 +136,6 @@ def _central_binomial_divisor_sum(n: int, mobius: bool) -> int:
     return total
 
 
-@lru_cache(maxsize=256)
 def count_plane_trees(n: int) -> int:
     """Number of plane trees with n edges (n+1 vertices)."""
     if n < 1:
@@ -147,7 +145,6 @@ def count_plane_trees(n: int) -> int:
     return r - _exact_div(catalan(n) - odd_term, 2)
 
 
-@lru_cache(maxsize=256)
 def count_asymmetric(n: int) -> int:
     """Number of plane trees with n edges whose rotation class has full size 2n."""
     if n < 1:

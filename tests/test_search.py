@@ -9,7 +9,6 @@ from midlayer import search
 from midlayer.construct import cycle_spectrum
 from midlayer.search import (
     TABLE1_EXPECTED,
-    TASKS_PER_WORKER,
     SearchJob,
     _sweep_tasks,
     _worker_sweep,
@@ -195,22 +194,27 @@ def test_checkpoint_resume_record_stream(tmp_path):
 
 
 def test_parallel_tasks_are_bounded():
-    for n in range(2, 6):
+    # one task per level-(n-1) state
+    for n in range(1, 6):
         serial = list(iter_exhaustive(n))
-        for workers in (2, 3, 4):
-            for start in (0, 1):
-                tasks = _sweep_tasks(n, workers, start)
-                chunks = [_worker_sweep(task) for task in tasks]
-                assert [rec for chunk in chunks for rec in chunk] == serial[start:]
-                bound = max(num_sequences(n) // (TASKS_PER_WORKER * workers), 1 << (n - 1))
-                assert max(len(chunk) for chunk in chunks) <= bound
-    # at n=7 the tree is deep enough for the share bound alone; tasks are
-    # subtrees of one level, so they split the sweep evenly
-    for workers in (2, 3, 4, 8):
-        tasks = _sweep_tasks(7, workers)
-        share = num_sequences(7) // len(tasks)
-        assert [base for _, _, base, _ in tasks] == [i * share for i in range(len(tasks))]
-        assert share * TASKS_PER_WORKER * workers <= num_sequences(7)
+        total = len(serial)
+        for start in sorted({0, 1, total // 3, total - 1}):
+            chunks = [_worker_sweep(task) for task in _sweep_tasks(n, start)]
+            assert [rec for chunk in chunks for rec in chunk] == serial[start:]
+            assert max(map(len, chunks), default=0) <= max(2 ** (2 * n - 3), 1)
+    # at n=7: 1024 subtrees of 2048 sequences, read from the tasks alone
+    tasks = _sweep_tasks(7)
+    assert len(tasks) == 1024
+    assert [base for _, _, base, _ in tasks] == [i * 2048 for i in range(1024)]
+    assert [prefix for _, prefix, _, _ in tasks] == all_sequences(5)
+
+
+def test_n7_task_is_one_level_6_subtree():
+    task = _sweep_tasks(7)[517]
+    _, prefix, base, _ = task
+    records = _worker_sweep(task)
+    assert [idx for idx, _, _ in records] == list(range(base, base + 2048))
+    assert all(seq[:5] == prefix for _, seq, _ in records)
 
 
 def test_job_rejects_sizes_below_one():
