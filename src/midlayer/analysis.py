@@ -79,8 +79,8 @@ def verify_two_factor(tf: TwoFactor) -> VerificationReport:
     repeats = total - len(seen)
     if repeats:
         failures.append(f"{repeats} repeated vertex visits")
-    weights = Counter(map(int.bit_count, seen))
-    bad_weight = len(seen) - weights[n] - weights[n + 1]
+    weights = list(map(int.bit_count, seen))
+    bad_weight = len(seen) - weights.count(n) - weights.count(n + 1)
     if bad_weight:
         failures.append(f"{bad_weight} vertices outside the middle levels")
     expected = comb(m, n) + comb(m, n + 1)

@@ -145,6 +145,9 @@ SUITES = {
     ],
 }
 
+# the largest n a suite finishes at within minutes; trees and distinct clamp n
+_CEILINGS = {"lemmas": 9, "parity": 10, "tau": 6}
+
 
 def _tree_counts_exact(n: int) -> bool:
     """True if the tree counts cover n edges; otherwise report it."""
@@ -158,6 +161,13 @@ def cmd_verify(args) -> int:
     if not _at_least_one(n=args.n, budget=args.budget):
         return EXIT_PARSE
     if args.mode == "trees" and not _tree_counts_exact(args.n):
+        return EXIT_PARSE
+    ceiling = _CEILINGS.get(args.mode)
+    if ceiling is not None and args.n > ceiling:
+        print(
+            f"error: --mode {args.mode} runs only through n={ceiling}, got {args.n}",
+            file=sys.stderr,
+        )
         return EXIT_PARSE
     results = SUITES[args.mode](args.n, args.budget)
     code = EXIT_OK
@@ -229,7 +239,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--n", type=int, required=True,
+        help="level; at most 9 for lemmas, 10 for parity, 6 for tau, 30 for trees",
+    )
     p.add_argument("--mode", choices=sorted(SUITES), required=True)
     p.add_argument("--budget", type=int, default=1000, help="sample count for sampled suites")
     p.set_defaults(func=cmd_verify)

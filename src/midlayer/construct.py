@@ -12,7 +12,10 @@ Each cycle of the 2-factor alternates between whole stored paths
 suffixed with 0 and reversed f_alpha images suffixed with 1; assembly
 therefore reduces to a permutation on the middle family and concatenation
 of its blocks, and the cycle lengths to the orbit sizes of that
-permutation.
+permutation.  f_alpha is a bit permutation followed by a complement, so it
+is affine over GF(2) and splits into one table per half of the word: an
+image vertex is two lookups, and f_alpha itself is called only to fill
+the tables (_image_tables).
 
 That permutation reads only the first and last vertex of each path, so the
 level step and the cycle spectrum read each path as its endpoint triple
@@ -221,11 +224,33 @@ def _orbits(succ: list[int]) -> Iterator[list[int]]:
         yield orbit
 
 
-def _block(p: Path, q: Path, alpha: AlphaVector, lo: int, hi: int) -> list[int]:
+def _image_tables(alpha: AlphaVector, hi: int) -> tuple[int, list[int], list[int]]:
+    """(h, low, up) with h = n and f_alpha(alpha, v) | hi equal to
+    low[v & (2^h - 1)] ^ up[v >> h] for every 2n-bit v.
+
+    f_alpha permutes bits and then complements them all, so it is affine
+    over GF(2): f_alpha(v) = L(v) ^ f_alpha(0) with L linear, and
+    L(e_b) = f_alpha(e_b) ^ f_alpha(0) for each unit vector e_b.  Each
+    table over h bits is filled by XOR doubling, one bit at a time.
+    """
+    h = len(alpha) + 1
+    zero = f_alpha(alpha, 0)
+    low, up = [hi], [zero]
+    for t, shift in ((low, 0), (up, h)):
+        for b in range(shift, shift + h):
+            img = f_alpha(alpha, 1 << b) ^ zero
+            t += [x ^ img for x in t]
+    return h, low, up
+
+
+def _block(p: Path, q: Path, tables: tuple, lo: int) -> list[int]:
     """One block of a 2-factor cycle: path p with the suffix bits lo, then
-    the f_alpha image of path q with the suffix bits hi, traversed
-    backwards."""
-    return [v | lo for v in p] + [f_alpha(alpha, v) | hi for v in reversed(q)]
+    the image of path q under the tables of _image_tables (f_alpha with
+    the suffix bits hi), traversed backwards.  Each image vertex is two
+    table lookups, one per half of the word."""
+    h, low, up = tables
+    mask = (1 << h) - 1
+    return [v | lo for v in p] + [low[v & mask] ^ up[v >> h] for v in reversed(q)]
 
 
 def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFactor:
@@ -234,12 +259,12 @@ def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFact
     n = state.n
     succ, phat = _successors(state, alpha)
     fam = _family(state, n, True)
-    top = 1 << (2 * n)
+    tables = _image_tables(alpha, 1 << (2 * n))
     cycles = []
     for orbit in _orbits(succ):
         verts: list[int] = []
         for j in orbit:
-            verts += _block(fam[j], fam[phat[j]], alpha, 0, top)
+            verts += _block(fam[j], fam[phat[j]], tables, 0)
         cycles.append(canonical_cycle(verts))
     cycles.sort(key=lambda c: c[0])
     return TwoFactor(n, state.alpha_prefix + (alpha,), tuple(cycles))
@@ -296,8 +321,9 @@ def _family(state: ConstructionState, k: int, full: bool) -> tuple:
         if k == n + 1:
             mid, s01, s11 = get(n), 2 << m, 3 << m
             if full:
+                tables = _image_tables(state.alpha, s11)
                 parts += [
-                    (p[1], *_block(p[1:], mid[h], state.alpha, s01, s11), mid[j][0] | s01)
+                    (p[1], *_block(p[1:], mid[h], tables, s01), mid[j][0] | s01)
                     for p, j, h in zip(mid, state.succ, state.phat)
                 ]
             else:  # the (first, second, last) of the full arc

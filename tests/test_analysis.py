@@ -1,5 +1,6 @@
 from collections import Counter
 from math import comb
+from random import Random
 
 import pytest
 
@@ -18,8 +19,8 @@ from midlayer.analysis import (
     verify_two_factor,
 )
 from midlayer.bitcube import parse_sequence
-from midlayer.construct import TwoFactor, build
-from midlayer.search import all_sequences
+from midlayer.construct import TwoFactor, assemble_two_factor, build, state_for_prefix
+from midlayer.search import all_sequences, random_sequence
 
 
 def seq(text):
@@ -221,6 +222,18 @@ def test_tau_image_reversed_pair():
     tf = build(seq(",0,10"))
     other = build(seq(",0,01"))
     assert edge_set(tau_image(tf, (0, 1))) == edge_set(other)
+
+
+def test_tau_image_matches_table_assembly_sampled():
+    # tau_image maps vertex by vertex through tau_alpha, assembly through
+    # construct's image tables, so the two paths cross-check each other
+    rng = Random(12)
+    for n in range(6, 9):
+        for _ in range(5):
+            state = state_for_prefix(random_sequence(rng, n - 1))
+            alpha = tuple(rng.randint(0, 1) for _ in range(n - 1))
+            image = tau_image(assemble_two_factor(state, alpha), alpha[::-1])
+            assert edge_set(image) == edge_set(assemble_two_factor(state, alpha[::-1]))
 
 
 def test_tau_image_level_check():

@@ -1,6 +1,9 @@
 import json
 import os
 
+import pytest
+
+from midlayer import suites
 from midlayer.cli import main
 
 
@@ -198,3 +201,21 @@ def test_serial_search_modes_reject_workers(monkeypatch, tmp_path, capsys):
         args = ["search", "--n", "3", "--seed", "1", "--workers", "2", "--out", str(out)]
         assert main(args + extra) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, ceiling", [("lemmas", 9), ("parity", 10), ("tau", 6), ("trees", 30)]
+)
+def test_verify_ceiling_exits_before_any_suite(monkeypatch, capsys, mode, ceiling):
+    # every suite fails if called: exit 2 above the ceiling shows that no
+    # work started, and the failure at the ceiling that n = ceiling passes
+    def no_suite(*args, **kwargs):
+        raise AssertionError("suite started")
+
+    for name in ("suite_lattice", "suite_paths", "suite_parity", "suite_tau", "suite_trees"):
+        monkeypatch.setattr(suites, name, no_suite)
+    assert main(["verify", "--n", str(ceiling + 1), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"n={ceiling}" in captured.err
+    with pytest.raises(AssertionError, match="suite started"):
+        main(["verify", "--n", str(ceiling), "--mode", mode])

@@ -12,6 +12,7 @@ from midlayer.construct import (
     ConstructionError,
     _advance,
     _alpha_tables,
+    _image_tables,
     assemble_two_factor,
     base_state,
     build,
@@ -197,6 +198,26 @@ def test_alpha_tables_match_f_alpha():
     for n in range(7, 11):
         for _ in range(3):
             check(n, tuple(rng.randint(0, 1) for _ in range(n - 1)))
+
+
+def test_image_tables_match_f_alpha():
+    # two lookups per image vertex stand in for f_alpha | hi in every block
+    def check(n, alpha, vs):
+        for hi in (0, 1 << (2 * n), 3 << (2 * n)):
+            h, low, up = _image_tables(alpha, hi)
+            mask = (1 << h) - 1
+            assert [low[v & mask] ^ up[v >> h] for v in vs] == [
+                f_alpha(alpha, v) | hi for v in vs
+            ]
+
+    for n in range(1, 6):
+        for alpha in product((0, 1), repeat=n - 1):
+            check(n, alpha, range(1 << (2 * n)))
+    rng = Random(9)
+    for n in range(6, 11):
+        for _ in range(3):
+            alpha = tuple(rng.randint(0, 1) for _ in range(n - 1))
+            check(n, alpha, [rng.getrandbits(2 * n) for _ in range(2000)])
 
 
 def test_middle_family_starts_at_dyck_words_in_rank_order():
