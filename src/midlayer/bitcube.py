@@ -23,10 +23,6 @@ def weight(x: int) -> int:
     return x.bit_count()
 
 
-def invert(x: int, m: int) -> int:
-    return x ^ ((1 << m) - 1)
-
-
 # _REV8[b] is the byte b with its 8 bits in reverse order.
 _REV8 = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
@@ -39,18 +35,6 @@ def _reverse_bits(x: int, m: int) -> int:
         r = (r << 8) | _REV8[x & 0xFF]
         x >>= 8
     return r >> ((nbytes << 3) - m)
-
-
-def reverse(x: int, m: int) -> int:
-    """Reverse the positions 1..m of x."""
-    if x >> m:
-        raise ValueError(f"value {x:#x} does not fit in {m} bits")
-    return _reverse_bits(x, m)
-
-
-def reverse_invert(x: int, m: int) -> int:
-    """Position-reversed bitwise complement; maps weight k to m-k."""
-    return invert(reverse(x, m), m)
 
 
 def _swap_pairs(x: int, mask: int) -> int:

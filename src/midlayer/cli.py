@@ -15,7 +15,14 @@ import sys
 from . import analysis, suites, trees
 from .bitcube import parse_sequence
 from .construct import ConstructionError, build
-from .search import TABLE1_EXPECTED, SearchJob, run_search, table1_counts
+from .search import (
+    EXHAUSTIVE_BOUND,
+    SAMPLED_BOUND,
+    TABLE1_EXPECTED,
+    SearchJob,
+    run_search,
+    table1_counts,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -33,11 +40,22 @@ def _at_least_one(**values: int) -> bool:
     return True
 
 
+# the largest n a build + verify holds in memory: 2.8 s and 388 MB at
+# n=11, about 4x that per level above
+_BUILD_CEILING = 11
+
+
 def cmd_build(args) -> int:
     try:
         seq = parse_sequence(args.alpha)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if len(seq) > _BUILD_CEILING:
+        print(
+            f"error: build runs only through n={_BUILD_CEILING}, got {len(seq)}",
+            file=sys.stderr,
+        )
         return EXIT_PARSE
     try:
         tf = build(seq)
@@ -215,7 +233,10 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build one 2-factor and print it as JSON")
-    p.add_argument("--alpha", required=True, help='parameter sequence, e.g. ",0,10"')
+    p.add_argument(
+        "--alpha", required=True,
+        help=f'parameter sequence of at most {_BUILD_CEILING} vectors, e.g. ",0,10"',
+    )
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--full", action="store_true", help="emit cycles, not just the spectrum")
     p.set_defaults(func=cmd_build)
@@ -227,7 +248,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("search", help="search the parameter space")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--n", type=int, required=True,
+        help=f"level; at most {EXHAUSTIVE_BOUND} for exhaustive, {SAMPLED_BOUND} otherwise",
+    )
     p.add_argument("--mode", choices=("exhaustive", "random", "targeted"), default="exhaustive")
     p.add_argument("--target", help="comma-separated cycle counts to hunt, e.g. 1,2")
     p.add_argument("--limit", type=int, help="stop after this many logged records")

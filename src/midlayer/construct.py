@@ -22,9 +22,9 @@ level step and the cycle spectrum read each path as its endpoint triple
 (first, second, last).  The first and last vertices of a level-n middle
 family are the Dyck and the D_MINUS words of length 2n, each set mapped
 onto itself by f_alpha, so both sides of the permutation are
-per-(n, alpha) tables over word ranks: sorted by first vertex, path j
-starts at the j-th smallest Dyck word, and each state keeps its path
-indices in the order of their last vertex.
+per-(n, alpha) tables over word ranks, read from the same image tables:
+sorted by first vertex, path j starts at the j-th smallest Dyck word,
+and each state keeps its path indices in the order of their last vertex.
 
 A state is its level step: the parent state, the alpha and the two
 permutations of the parent's middle family.  Its families, as triples or
@@ -45,14 +45,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator
 
 from . import lattice
-from .bitcube import (
-    AlphaVector,
-    ParameterSequence,
-    _swap_pairs,
-    f_alpha,
-    pair_mask,
-    reverse_invert,
-)
+from .bitcube import AlphaVector, ParameterSequence, f_alpha
 
 Path = tuple[int, ...]
 Ends = tuple[int, int, int]  # (first, second, last) vertex of a path
@@ -114,8 +107,8 @@ class ConstructionState:
         at the D_MINUS words of length 2n: path _by_last[r] ends at the r-th."""
         fam = _family(self, self.n, False)
         at = sorted(range(len(fam)), key=lambda i: fam[i][2])
-        _, (last_rank, _) = _level_tables(self.n)
-        if [fam[i][2] for i in at] != list(last_rank):
+        _, (_, lasts) = _level_tables(self.n)
+        if [fam[i][2] for i in at] != lasts:
             raise ConstructionError(
                 f"middle family at level {self.n} does not end at the D_MINUS words"
             )
@@ -144,34 +137,26 @@ def base_state(k_cap: int | None = None) -> ConstructionState:
 def _level_tables(n: int) -> tuple[tuple[dict[int, int], list[int]], ...]:
     """Per level n, for the Dyck words of length 2n (the first vertices of
     a middle family) and then the D_MINUS words (its last vertices): the
-    rank of each word in sorted order, and reverse_invert on the words in
-    rank order."""
+    rank of each word in sorted order, and the words in that order."""
     m = 2 * n
     words = (lattice.dyck_bitstrings(m), lattice.dminus_bitstrings(m))
-    return tuple(
-        ({x: r for r, x in enumerate(w)}, [reverse_invert(x, m) for x in w])
-        for w in map(sorted, words)
-    )
+    return tuple(({x: r for r, x in enumerate(w)}, w) for w in map(sorted, words))
 
 
 @lru_cache(maxsize=4096)
 def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], ...]:
     """Per (n, alpha): fb[j], the rank of f_alpha of the j-th Dyck word of
     length 2n, and lb[r], the rank of the inverse of f_alpha on the r-th
-    D_MINUS word.
-
-    Reversal carries the pair at positions (2i, 2i+1) to the pair n-i, so
-    f_alpha(alpha, x) = pi_alpha(alpha[::-1], reverse_invert(x)): with the
-    reversals kept per n, only the pair swap depends on alpha.  The
-    inverse f_alpha(alpha[::-1], .) swaps the pairs of alpha itself.
-    """
-    masks = (pair_mask(alpha[::-1]), pair_mask(alpha))
+    D_MINUS word.  That inverse is f_alpha(alpha[::-1], .), and both maps
+    are read from the tables of _image_tables."""
+    mask = (1 << n) - 1
+    images = (_image_tables(alpha, 0), _image_tables(alpha[::-1], 0))
     try:
         return tuple(
-            [rank[_swap_pairs(r, mask)] for r in ris]
-            for (rank, ris), mask in zip(_level_tables(n), masks)
+            [rank[low[x & mask] ^ up[x >> n]] for x in words]
+            for (rank, words), (_, low, up) in zip(_level_tables(n), images)
         )
-    except KeyError as exc:  # pragma: no cover - guards a construction bug
+    except KeyError as exc:
         raise ConstructionError(
             f"f_alpha image {exc.args[0]} is not a family endpoint"
         ) from exc

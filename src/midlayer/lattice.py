@@ -18,6 +18,7 @@ stays independent of them).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -138,21 +139,24 @@ def f_alpha_path(alpha: AlphaVector, p: Path) -> Path:
 
 
 @lru_cache(maxsize=32)
-def _sweep(n: int) -> dict[tuple[str, int], tuple[Path, ...]]:
-    """Classify all 2^n step sequences, grouped by (tag, upstep count)."""
-    out: dict[tuple[str, int], list[Path]] = {}
+def _sweep(n: int) -> dict[tuple[str, int], array]:
+    """Classify all 2^n step sequences, grouped by (tag, upstep count).
+
+    Each group keeps the phi-preimages of its paths, one machine word
+    each, not the paths themselves, whose tuples would take about 320 MB
+    at length 20."""
+    out: dict[tuple[str, int], array] = {}
     for code in range(1 << n):
-        p = phi(code, n)
-        c = classify(p)
-        out.setdefault((c.tag, c.k), []).append(p)
-    return {key: tuple(ps) for key, ps in out.items()}
+        c = classify(phi(code, n))
+        out.setdefault((c.tag, c.k), array("L")).append(code)
+    return out
 
 
 def enumerate_class(n: int, k: int, tag: str) -> set[Path]:
     """Brute-force oracle: all paths of length n, k upsteps, given tag."""
     if n > _ORACLE_MAX:
         raise ValueError(f"oracle limited to n <= {_ORACLE_MAX}")
-    return set(_sweep(n).get((tag, k), ()))
+    return {phi(code, n) for code in _sweep(n).get((tag, k), ())}
 
 
 @lru_cache(maxsize=64)

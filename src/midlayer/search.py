@@ -22,7 +22,9 @@ import json
 import multiprocessing
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
 from typing import Iterator
 
@@ -40,6 +42,12 @@ from .construct import (
 # Largest level an exhaustive search accepts: 2^21 sequences at n=7,
 # 2^28 at n=8.
 EXHAUSTIVE_BOUND = 7
+
+# Largest level a random or targeted search accepts.  Memory grows about
+# 3x per level: the first three sequences take 67 MB at n=11 and 197 MB
+# at n=12, and a long run reaches the alpha tables of all 2^(n-1) final
+# alphas, 16 bytes per path each: about 1 GB at n=11 and 7 GB at n=12.
+SAMPLED_BOUND = 11
 
 
 @dataclass(frozen=True)
@@ -67,10 +75,9 @@ class SearchJob:
             raise ValueError(f"checkpoint must be at least 0, got {self.checkpoint}")
         if self.mode not in ("exhaustive", "random", "targeted"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "exhaustive" and self.n > EXHAUSTIVE_BOUND:
-            raise ValueError(
-                f"exhaustive search limited to n <= {EXHAUSTIVE_BOUND}"
-            )
+        bound = EXHAUSTIVE_BOUND if self.mode == "exhaustive" else SAMPLED_BOUND
+        if self.n > bound:
+            raise ValueError(f"{self.mode} search limited to n <= {bound}")
         if self.mode != "exhaustive" and self.workers > 1:
             raise ValueError(f"{self.mode} mode runs serially; workers must be 1")
         if self.mode in ("random", "targeted") and self.seed is None:
@@ -177,13 +184,24 @@ def iter_exhaustive_parallel(
     Each task is the subtree below one level-(n-1) state, whatever the
     number of workers, so a task's records and a worker's memory stay
     small; record order is preserved by consuming tasks in index order.
+    At most 2 * workers tasks are submitted and not yet fully consumed,
+    so a slow consumer holds at most that many finished subtrees.
     """
     if workers <= 1:
         yield from iter_exhaustive(n, start=start)
         return
+    tasks = iter(_sweep_tasks(n, start))
     with multiprocessing.Pool(workers) as pool:
-        for chunk in pool.imap(_worker_sweep, _sweep_tasks(n, start)):
-            yield from chunk
+        window = deque(
+            pool.apply_async(_worker_sweep, (task,))
+            for task in islice(tasks, 2 * workers)
+        )
+        while window:
+            yield from window[0].get()
+            window.popleft()
+            task = next(tasks, None)
+            if task is not None:
+                window.append(pool.apply_async(_worker_sweep, (task,)))
 
 
 # --- front ends --------------------------------------------------------------

@@ -4,17 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midlayer.bitcube import (
+    _reverse_bits,
     f_alpha,
     format_alpha,
     format_bits,
     format_sequence,
-    invert,
     parse_alpha,
     parse_bits,
     parse_sequence,
     pi_alpha,
-    reverse,
-    reverse_invert,
     tau_alpha,
     weight,
 )
@@ -48,21 +46,9 @@ def test_parse_bits_rejects_junk():
         parse_bits("10x")
 
 
-def test_weight_and_invert():
+def test_weight():
     assert weight(bits("10110")) == 3
-    assert invert(bits("10110"), 5) == bits("01001")
-
-
-def test_reverse():
-    assert reverse(bits("110"), 3) == bits("011")
-    assert reverse(0, 0) == 0
-    with pytest.raises(ValueError):
-        reverse(0b1000, 3)
-
-
-def test_reverse_invert_weight():
-    x = bits("110100")
-    assert weight(reverse_invert(x, 6)) == 6 - weight(x)
+    assert weight(0) == 0
 
 
 def test_pi_alpha_examples():
@@ -192,7 +178,7 @@ def test_f_alpha_matches_reference_sampled(args):
 def test_reverse_matches_reference():
     for m in (1, 7, 8, 9, 16, 24, 25, 40):
         for x in (0, 1, (1 << m) - 1, 0x5A5A5A5A5A & ((1 << m) - 1)):
-            assert reverse(x, m) == int(format(x, f"0{m}b")[::-1], 2)
+            assert _reverse_bits(x, m) == int(format(x, f"0{m}b")[::-1], 2)
 
 
 def test_f_alpha_length_check():

@@ -219,3 +219,26 @@ def test_verify_ceiling_exits_before_any_suite(monkeypatch, capsys, mode, ceilin
     assert captured.out == "" and f"n={ceiling}" in captured.err
     with pytest.raises(AssertionError, match="suite started"):
         main(["verify", "--n", str(ceiling), "--mode", mode])
+
+
+def test_search_and_build_ceilings_exit_before_any_work(monkeypatch, capsys):
+    # the engine fails if called: exit 2 above the ceiling shows that no
+    # work started, and the failure at the ceiling that n = ceiling passes
+    def no_engine(*args, **kwargs):
+        raise AssertionError("engine started")
+
+    monkeypatch.setattr("midlayer.search.state_for_prefix", no_engine)
+    monkeypatch.setattr("midlayer.cli.build", no_engine)
+    commands = [
+        lambda n: ["search", "--n", str(n), "--mode", "random", "--seed", "1"],
+        lambda n: [
+            "search", "--n", str(n), "--mode", "targeted", "--seed", "1", "--target", "1",
+        ],
+        lambda n: ["build", "--alpha", ",".join("0" * i for i in range(n))],
+    ]
+    for command in commands:
+        assert main(command(12)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "11" in captured.err
+        with pytest.raises(AssertionError, match="engine started"):
+            main(command(11))

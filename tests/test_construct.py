@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midlayer import lattice
+from midlayer import construct, lattice
 from midlayer.analysis import spectrum, verify_two_factor
 from midlayer.bitcube import f_alpha, parse_bits, parse_sequence
 from midlayer.construct import (
@@ -260,6 +260,24 @@ def test_wrong_last_vertex_is_a_construction_error():
         cycle_spectrum(spoiled(), (0, 0))
     with pytest.raises(ConstructionError, match="D_MINUS"):
         _advance(spoiled(), (1, 0))
+
+
+def test_image_off_the_endpoints_is_a_construction_error(monkeypatch):
+    # the rank tables hold only Dyck and D_MINUS words, so an image table
+    # with one low bit flipped must be refused, not read as a rank
+    real = construct._image_tables
+
+    def spoiled(alpha, hi):
+        h, low, up = real(alpha, hi)
+        return h, [x ^ 1 for x in low], up
+
+    monkeypatch.setattr(construct, "_image_tables", spoiled)
+    _alpha_tables.cache_clear()
+    try:
+        with pytest.raises(ConstructionError, match="not a family endpoint"):
+            cycle_spectrum(state_for_prefix(((), (1,))), (0, 1))
+    finally:
+        _alpha_tables.cache_clear()
 
 
 def test_families_do_not_depend_on_expansion_order():

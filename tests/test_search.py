@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import time
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -207,6 +209,28 @@ def test_parallel_tasks_are_bounded():
     assert len(tasks) == 1024
     assert [base for _, _, base, _ in tasks] == [i * 2048 for i in range(1024)]
     assert [prefix for _, prefix, _, _ in tasks] == all_sequences(5)
+
+
+def _logged_sweep(log, task):
+    records = _worker_sweep(task)
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(f"{task[2]}\n")
+    return records
+
+
+def test_parallel_stream_bounds_tasks_in_flight(tmp_path, monkeypatch):
+    # a consumer that stalls after one record leaves at most 2 * workers
+    # tasks submitted and not yet consumed, so at most that many finish
+    # during the stall; order and coverage survive the refills
+    log = tmp_path / "finished"
+    log.touch()
+    monkeypatch.setattr(search, "_worker_sweep", partial(_logged_sweep, str(log)))
+    stream = iter_exhaustive_parallel(6, 2)
+    first = next(stream)
+    time.sleep(1.5)
+    finished = len(log.read_text().splitlines())
+    assert 1 <= finished <= 4
+    assert [first, *stream] == list(iter_exhaustive(6))
 
 
 def test_n7_task_is_one_level_6_subtree():
