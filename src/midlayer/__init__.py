@@ -16,7 +16,6 @@ from .construct import (
     ConstructionState,
     TwoFactor,
     assemble_two_factor,
-    base_state,
     build,
     cycle_spectrum,
     state_for_prefix,
@@ -47,7 +46,6 @@ __all__ = [
     "ConstructionState",
     "TwoFactor",
     "assemble_two_factor",
-    "base_state",
     "build",
     "cycle_spectrum",
     "state_for_prefix",

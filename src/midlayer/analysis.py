@@ -22,18 +22,17 @@ class AnalysisError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CycleSpectrum:
-    n: int
-    entries: Counter
-
-    @property
-    def num_cycles(self) -> int:
-        return sum(self.entries.values())
+def spectrum(tf: TwoFactor) -> dict[int, int]:
+    """Cycle-length multiset {length: count}, as cycle_spectrum gives it."""
+    return dict(Counter(len(c) for c in tf.cycles))
 
 
-def spectrum(tf: TwoFactor) -> CycleSpectrum:
-    return CycleSpectrum(tf.n, Counter(len(c) for c in tf.cycles))
+def spectrum_fields(sp: dict[int, int]) -> dict:
+    """The num_cycles and spectrum fields of a JSON record of spectrum sp."""
+    return {
+        "num_cycles": sum(sp.values()),
+        "spectrum": {str(length): count for length, count in sorted(sp.items())},
+    }
 
 
 def dyck_vertex_counts(tf: TwoFactor) -> list[int]:
@@ -169,12 +168,10 @@ def tau_image(tf: TwoFactor, alpha_prime: AlphaVector) -> TwoFactor:
 
 
 def spectrum_json(tf: TwoFactor) -> dict:
-    sp = spectrum(tf)
     return {
         "n": tf.n,
         "alpha": format_sequence(tf.alphas),
-        "num_cycles": sp.num_cycles,
-        "spectrum": {str(length): count for length, count in sorted(sp.entries.items())},
+        **spectrum_fields(spectrum(tf)),
     }
 
 

@@ -12,7 +12,7 @@ bitstrings (",0,10" encodes ((), (0,), (1,0))).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 AlphaVector = tuple[int, ...]
 ParameterSequence = tuple[AlphaVector, ...]
@@ -45,7 +45,7 @@ def _swap_pairs(x: int, mask: int) -> int:
     return x ^ d * 3
 
 
-@lru_cache(maxsize=4096)
+@cache
 def pair_mask(alpha: AlphaVector) -> int:
     """The low bits of the pairs pi_alpha swaps: bit index 2i-1 (position
     2i) for every i with alpha(i)=1."""

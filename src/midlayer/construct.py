@@ -41,14 +41,13 @@ structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from typing import Iterator
 
 from . import lattice
 from .bitcube import AlphaVector, ParameterSequence, f_alpha
 
 Path = tuple[int, ...]
-Ends = tuple[int, int, int]  # (first, second, last) vertex of a path
 
 
 class ConstructionError(Exception):
@@ -64,8 +63,7 @@ class ConstructionState:
     _successors gives for the parent's middle family and alpha.  Family k
     lives in the layer (k, k+1) of the 2n-cube, k = n .. 2n-1, sorted by
     first vertex; path j of the middle family starts at the j-th smallest
-    Dyck word of length 2n.  ends and families list the families up to
-    k_cap.
+    Dyck word of length 2n.  families lists the families up to k_cap.
     """
 
     parent: ConstructionState | None = field(repr=False)
@@ -87,19 +85,11 @@ class ConstructionState:
             return ()
         return self.parent.alpha_prefix + (self.alpha,)
 
-    def _listed(self) -> range:
-        top = 2 * self.n if self.k_cap is None else min(2 * self.n, self.k_cap + 1)
-        return range(self.n, top)
-
-    @property
-    def ends(self) -> dict[int, tuple[Ends, ...]]:
-        """The endpoint triple of every path of every listed family."""
-        return {k: _family(self, k, False) for k in self._listed()}
-
     @property
     def families(self) -> dict[int, tuple[Path, ...]]:
         """The full paths of every listed family."""
-        return {k: _family(self, k, True) for k in self._listed()}
+        top = 2 * self.n if self.k_cap is None else min(2 * self.n, self.k_cap + 1)
+        return {k: _family(self, k, True) for k in range(self.n, top)}
 
     @cached_property
     def _by_last(self) -> list[int]:
@@ -128,12 +118,7 @@ class TwoFactor:
     cycles: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
-def base_state(k_cap: int | None = None) -> ConstructionState:
-    """Level 1: the single oriented path 10 -> 11 -> 01 in the 2-cube."""
-    return ConstructionState(None, (), [], [], k_cap)
-
-
-@lru_cache(maxsize=None)
+@cache
 def _level_tables(n: int) -> tuple[tuple[dict[int, int], list[int]], ...]:
     """Per level n, for the Dyck words of length 2n (the first vertices of
     a middle family) and then the D_MINUS words (its last vertices): the
@@ -143,7 +128,7 @@ def _level_tables(n: int) -> tuple[tuple[dict[int, int], list[int]], ...]:
     return tuple(({x: r for r, x in enumerate(w)}, w) for w in map(sorted, words))
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], ...]:
     """Per (n, alpha): fb[j], the rank of f_alpha of the j-th Dyck word of
     length 2n, and lb[r], the rank of the inverse of f_alpha on the r-th
@@ -326,8 +311,9 @@ def _family(state: ConstructionState, k: int, full: bool) -> tuple:
 def state_for_prefix(
     prefix: ParameterSequence, k_cap: int | None = None
 ) -> ConstructionState:
-    """State at level len(prefix)+1 for the given alpha prefix."""
-    state = base_state(k_cap)
+    """State at level len(prefix)+1 for the given alpha prefix; level 1 is
+    the single oriented path 10 -> 11 -> 01 in the 2-cube."""
+    state = ConstructionState(None, (), [], [], k_cap)
     for alpha in prefix:
         state = _advance(state, alpha)
     return state
@@ -343,13 +329,3 @@ def build(seq: ParameterSequence) -> TwoFactor:
             raise ValueError(f"alpha vector {i} has length {len(a)}, expected {i - 1}")
     state = state_for_prefix(seq[:-1])
     return assemble_two_factor(state, seq[-1])
-
-
-def fsl_sets(state: ConstructionState, k: int) -> tuple[set[int], set[int], set[int]]:
-    """First, second and last vertex sets of family k."""
-    fam = _family(state, k, False)
-    return (
-        {t[0] for t in fam},
-        {t[1] for t in fam},
-        {t[2] for t in fam},
-    )

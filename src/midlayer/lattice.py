@@ -10,17 +10,18 @@ Three path classes matter here, all for paths with k upsteps:
   D_GT0   never below y=0 and never again on y=0,
   D_MINUS exactly one point with ordinate -1 and none below -1.
 
-``enumerate_class`` is a brute-force oracle sweeping all 2^n step
-sequences; ``dyck_bitstrings``/``dminus_bitstrings`` generate the two
-middle classes compositionally for use in hot code paths (the oracle
-stays independent of them).
+``enumerate_class`` is a brute-force oracle sweeping all C(n, k) step
+sequences with k upsteps; ``dyck_bitstrings``/``dminus_bitstrings``
+generate the two middle classes compositionally for use in hot code paths
+(the oracle stays independent of them).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
+from itertools import combinations
 
 from .bitcube import AlphaVector
 
@@ -138,17 +139,18 @@ def f_alpha_path(alpha: AlphaVector, p: Path) -> Path:
     return rev_bar_path(pi_alpha_path(alpha, p))
 
 
-@lru_cache(maxsize=32)
-def _sweep(n: int) -> dict[tuple[str, int], array]:
-    """Classify all 2^n step sequences, grouped by (tag, upstep count).
+@cache
+def _sweep(n: int, k: int) -> dict[str, array]:
+    """Classify all C(n, k) step sequences of length n with k upsteps, one
+    per choice of upstep positions, grouped by tag.
 
     Each group keeps the phi-preimages of its paths, one machine word
     each, not the paths themselves, whose tuples would take about 320 MB
     at length 20."""
-    out: dict[tuple[str, int], array] = {}
-    for code in range(1 << n):
-        c = classify(phi(code, n))
-        out.setdefault((c.tag, c.k), array("L")).append(code)
+    out: dict[str, array] = {}
+    for ups in combinations(range(n), k):
+        code = sum(1 << i for i in ups)
+        out.setdefault(classify(phi(code, n)).tag, array("L")).append(code)
     return out
 
 
@@ -156,10 +158,12 @@ def enumerate_class(n: int, k: int, tag: str) -> set[Path]:
     """Brute-force oracle: all paths of length n, k upsteps, given tag."""
     if n > _ORACLE_MAX:
         raise ValueError(f"oracle limited to n <= {_ORACLE_MAX}")
-    return {phi(code, n) for code in _sweep(n).get((tag, k), ())}
+    if k < 0:
+        return set()
+    return {phi(code, n) for code in _sweep(n, k).get(tag, ())}
 
 
-@lru_cache(maxsize=64)
+@cache
 def dyck_bitstrings(m: int) -> frozenset[int]:
     """phi-preimages of the never-below-zero paths of length m ending at 0."""
     if m % 2:
@@ -176,7 +180,7 @@ def dyck_bitstrings(m: int) -> frozenset[int]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=64)
+@cache
 def dminus_bitstrings(m: int) -> frozenset[int]:
     """phi-preimages of the paths of length m, m/2 upsteps, touching -1 once.
 

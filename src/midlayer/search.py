@@ -24,11 +24,12 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from random import Random
 from typing import Iterator
 
-from .analysis import predicted_parity
+from .analysis import predicted_parity, spectrum_fields
 from .bitcube import AlphaVector, ParameterSequence, format_sequence
 from .construct import (
     ConstructionError,
@@ -86,13 +87,14 @@ class SearchJob:
             raise ValueError("targeted mode requires target counts")
 
 
-def alpha_vectors(level: int) -> list[AlphaVector]:
+@cache
+def alpha_vectors(level: int) -> tuple[AlphaVector, ...]:
     """All 2^(level-1) alpha vectors of a level, in enumeration order."""
     width = level - 1
-    return [
+    return tuple(
         tuple((code >> i) & 1 for i in range(width))
         for code in range(1 << width)
-    ]
+    )
 
 
 def num_sequences(n: int) -> int:
@@ -277,8 +279,7 @@ def run_search(job: SearchJob, out_path=None) -> SearchSummary:
                     rec = {
                         "index": idx,
                         "alpha": format_sequence(seq),
-                        "num_cycles": ncyc,
-                        "spectrum": {str(k): v for k, v in sorted(sp.items())},
+                        **spectrum_fields(sp),
                         "wall_ms": wall_ms,
                     }
                     out.write(json.dumps(rec) + "\n")

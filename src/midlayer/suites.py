@@ -273,6 +273,13 @@ def _state_sample(n: int, seed: int, count: int):
     return [state_for_prefix(p) for p in sorted(prefixes)]
 
 
+def _fsl_sets(state, k: int) -> tuple[set[int], set[int], set[int]]:
+    """First, second and last vertex sets of family k, read from the
+    endpoint triples that the level step uses."""
+    fam = construct._family(state, k, False)
+    return {t[0] for t in fam}, {t[1] for t in fam}, {t[2] for t in fam}
+
+
 def suite_paths(n_max: int = 6, seed: int = 2024, states_per_level: int = 4) -> SuiteResult:
     """Structure of the stored path families: endpoint classes, coverage,
     the length formula, the endpoint decomposition relations, and the
@@ -284,7 +291,7 @@ def suite_paths(n_max: int = 6, seed: int = 2024, states_per_level: int = 4) -> 
         for si, state in enumerate(_state_sample(n, seed + n, states_per_level)):
             label = f"n={n} state {si}"
             for k, fam in state.families.items():
-                F, S, L = construct.fsl_sets(state, k)
+                F, S, L = _fsl_sets(state, k)
                 img = lambda vs: {lattice.phi(v, m) for v in vs}
                 res.add(
                     f"{label} endpoint classes k={k}",
@@ -321,7 +328,7 @@ def suite_paths(n_max: int = 6, seed: int = 2024, states_per_level: int = 4) -> 
                 upper = {v for p in fam for v in p if weight(v) == k + 1}
                 lower = {v for p in fam for v in p if weight(v) == k}
                 missing = {x for x in range(1 << m) if weight(x) == k} - lower
-                _, S_below, _ = construct.fsl_sets(state, k - 1)
+                _, S_below, _ = _fsl_sets(state, k - 1)
                 res.add(
                     f"{label} upper coverage k={k}",
                     upper == {x for x in range(1 << m) if weight(x) == k + 1}
@@ -330,7 +337,7 @@ def suite_paths(n_max: int = 6, seed: int = 2024, states_per_level: int = 4) -> 
 
         # the map built from each final alpha keeps the endpoint sets fixed
         state = state_for_prefix(_all_zero(n - 1))
-        F, _, L = construct.fsl_sets(state, n)
+        F, _, L = _fsl_sets(state, n)
         bad = []
         for alpha in alpha_vectors(n):
             if {f_alpha(alpha, v) for v in F} != F:

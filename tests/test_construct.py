@@ -14,14 +14,13 @@ from midlayer.construct import (
     _alpha_tables,
     _image_tables,
     assemble_two_factor,
-    base_state,
     build,
     canonical_cycle,
     cycle_spectrum,
-    fsl_sets,
     state_for_prefix,
 )
 from midlayer.search import alpha_vectors, random_sequence
+from midlayer.suites import _fsl_sets
 
 
 def bits(text):
@@ -33,14 +32,14 @@ def seq(text):
 
 
 def test_base_state():
-    s = base_state()
+    s = state_for_prefix(())
     assert s.n == 1
     assert s.families == {1: ((bits("10"), bits("11"), bits("01")),)}
     assert s.alpha_prefix == ()
 
 
 def test_base_state_fsl():
-    F, S, L = fsl_sets(base_state(), 1)
+    F, S, L = _fsl_sets(state_for_prefix(()), 1)
     assert (F, S, L) == ({bits("10")}, {bits("11")}, {bits("01")})
 
 
@@ -51,7 +50,7 @@ def test_canonical_cycle():
 
 
 def test_assemble_level_one_six_cycle():
-    tf = assemble_two_factor(base_state(), ())
+    tf = assemble_two_factor(state_for_prefix(()), ())
     expected = tuple(
         bits(t) for t in ("100", "110", "010", "011", "001", "101")
     )
@@ -71,7 +70,7 @@ def test_split_level_one():
 
 def test_level_two_fsl_example():
     s2 = state_for_prefix(((),))
-    F, _, _ = fsl_sets(s2, 2)
+    F, _, _ = _fsl_sets(s2, 2)
     assert F == {bits("1010"), bits("1100")}
 
 
@@ -146,7 +145,7 @@ def test_state_families_sorted_by_first_vertex():
 
 def test_alpha_length_check():
     with pytest.raises(ConstructionError):
-        cycle_spectrum(base_state(), (0,))
+        cycle_spectrum(state_for_prefix(()), (0,))
 
 
 def all_sequences(n):
@@ -157,7 +156,7 @@ def test_endpoint_spectrum_matches_built_cycles_exhaustively():
     for n in range(1, 6):
         for s in all_sequences(n):
             state = state_for_prefix(s[:-1], k_cap=n)
-            assert cycle_spectrum(state, s[-1]) == dict(spectrum(build(s)).entries)
+            assert cycle_spectrum(state, s[-1]) == spectrum(build(s))
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
@@ -172,14 +171,14 @@ def test_endpoint_spectrum_matches_built_cycles_sampled(s):
     tf = build(s)
     assert verify_two_factor(tf).ok
     state = state_for_prefix(s[:-1], k_cap=len(s))
-    assert cycle_spectrum(state, s[-1]) == dict(spectrum(tf).entries)
+    assert cycle_spectrum(state, s[-1]) == spectrum(tf)
 
 
 def test_full_paths_end_at_their_triples():
     s = state_for_prefix(((), (1,), (0, 1)))
-    assert set(s.families) == set(s.ends)
+    assert list(s.families) == [4, 5, 6, 7]
     for k, fam in s.families.items():
-        assert [(p[0], p[1], p[-1]) for p in fam] == list(s.ends[k])
+        assert [(p[0], p[1], p[-1]) for p in fam] == list(construct._family(s, k, False))
 
 
 def test_alpha_tables_match_f_alpha():
@@ -226,7 +225,7 @@ def test_middle_family_starts_at_dyck_words_in_rank_order():
     # D_MINUS words
     def check(state):
         n = state.n
-        fam = state.ends[n]
+        fam = construct._family(state, n, False)
         assert [t[0] for t in fam] == sorted(lattice.dyck_bitstrings(2 * n))
         assert sorted(t[2] for t in fam) == sorted(lattice.dminus_bitstrings(2 * n))
 
@@ -238,7 +237,7 @@ def test_middle_family_starts_at_dyck_words_in_rank_order():
             if state.n < 6:
                 walk(_advance(state, alpha))
 
-    walk(base_state(k_cap=6))
+    walk(state_for_prefix((), k_cap=6))
     rng = Random(4)
     for level in range(7, 10):
         for _ in range(20):
@@ -250,7 +249,7 @@ def test_wrong_last_vertex_is_a_construction_error():
     # family that does not end at the D_MINUS words must be refused
     def spoiled():
         s = state_for_prefix(((), (1,)))
-        fam = list(s.ends[3])
+        fam = list(construct._family(s, 3, False))
         first, second, last = fam[0]
         fam[0] = (first, second, last ^ 0b11)
         s._built[3, False] = tuple(fam)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 import pytest
 
 from midlayer.bitcube import parse_bits
+from midlayer import lattice
 from midlayer.lattice import (
     D_EQ0,
     D_GT0,
@@ -124,6 +125,23 @@ def test_enumerate_class_partitions_everything():
             for tag in (D_EQ0, D_GT0, D_MINUS, NONE)
         )
         assert total == 1 << m
+
+
+def test_sweep_matches_direct_classification():
+    # the oracle visits codes by their upstep positions; every code of each
+    # length must land once, in the group of its direct classification
+    for m in range(0, 15):
+        direct = {}
+        for code in range(1 << m):
+            c = classify(phi(code, m))
+            direct.setdefault((c.tag, c.k), set()).add(code)
+        groups = [
+            ((tag, k), codes)
+            for k in range(m + 1)
+            for tag, codes in lattice._sweep(m, k).items()
+        ]
+        assert sum(len(codes) for _, codes in groups) == 1 << m
+        assert {key: set(codes) for key, codes in groups} == direct
 
 
 def test_enumerate_class_scale_guard():

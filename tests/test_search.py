@@ -26,9 +26,9 @@ from midlayer.search import (
 
 
 def test_alpha_vectors():
-    assert alpha_vectors(1) == [()]
-    assert alpha_vectors(2) == [(0,), (1,)]
-    assert alpha_vectors(3) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert alpha_vectors(1) == ((),)
+    assert alpha_vectors(2) == ((0,), (1,))
+    assert alpha_vectors(3) == ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def test_num_sequences():
