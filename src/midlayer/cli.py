@@ -4,6 +4,12 @@ Subcommands: build one 2-factor, reproduce the one-/two-cycle sequence
 counts, run a parameter-space search, run a verification suite, or print
 the tree counting functions.  Exit codes: 0 success, 1 verification
 failure, 2 parse error, 3 internal invariant violation, 4 I/O failure.
+
+Each subcommand is a check, which validates the input and returns what
+the run needs, and a run, which does the work.  Only ``main`` maps an
+exception to an exit code: a ValueError from a check is a parse error,
+raised before any work; a ConstructionError or an OSError from a run is
+an invariant violation or an I/O failure, whatever the command.
 """
 
 from __future__ import annotations
@@ -31,13 +37,11 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 
-def _at_least_one(**values: int) -> bool:
-    """True if every value is >= 1; otherwise report the first that is not."""
+def _at_least_one(**values: int) -> None:
+    """Raise ValueError naming the first value below 1."""
     for name, value in values.items():
         if value < 1:
-            print(f"error: --{name} must be at least 1, got {value}", file=sys.stderr)
-            return False
-    return True
+            raise ValueError(f"--{name} must be at least 1, got {value}")
 
 
 # the largest n a build + verify holds in memory: 2.8 s and 388 MB at
@@ -45,61 +49,41 @@ def _at_least_one(**values: int) -> bool:
 _BUILD_CEILING = 11
 
 
-def cmd_build(args) -> int:
-    try:
-        seq = parse_sequence(args.alpha)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+def _check_build(args):
+    seq = parse_sequence(args.alpha)
     if len(seq) > _BUILD_CEILING:
-        print(
-            f"error: build runs only through n={_BUILD_CEILING}, got {len(seq)}",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
-    try:
-        tf = build(seq)
-    except ConstructionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise ValueError(f"build runs only through n={_BUILD_CEILING}, got {len(seq)}")
+    return seq
+
+
+def _run_build(args, seq) -> int:
+    tf = build(seq)
     report = analysis.verify_two_factor(tf)
     if not report.ok:
-        for failure in report.failures:
-            print(f"internal error: {failure}", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise ConstructionError("; ".join(report.failures))
     doc = analysis.two_factor_json(tf) if args.full else analysis.spectrum_json(tf)
-    try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-                fh.write("\n")
-        else:
-            json.dump(doc, sys.stdout)
-            print()
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+    else:
+        json.dump(doc, sys.stdout)
+        print()
     return EXIT_OK
 
 
-def cmd_table1(args) -> int:
-    n_max = args.n
-    try:
-        SearchJob(n=n_max, workers=args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if n_max == 7 and not args.include_7:
-        print(
-            "error: the n=7 sweep evaluates 2097152 sequences; pass --include-7",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
+def _check_table1(args) -> None:
+    SearchJob(n=args.n, workers=args.workers)
+    if args.n == 7 and not args.include_7:
+        raise ValueError("the n=7 sweep evaluates 2097152 sequences; pass --include-7")
+
+
+def _run_table1(args, _) -> int:
     code = EXIT_OK
     print("n  one-cycle  two-cycle")
-    for n in range(1, n_max + 1):
-        # the levels below n_max hold a small share of the sequences
-        ones, twos = table1_counts(n, workers=args.workers if n == n_max else 1)
+    for n in range(1, args.n + 1):
+        # the levels below args.n hold a small share of the sequences
+        ones, twos = table1_counts(n, workers=args.workers if n == args.n else 1)
         marker = ""
         if (ones, twos) != TABLE1_EXPECTED[n]:
             marker = f"  MISMATCH expected {TABLE1_EXPECTED[n]}"
@@ -108,36 +92,27 @@ def cmd_table1(args) -> int:
     return code
 
 
-def cmd_search(args) -> int:
+def _check_search(args) -> SearchJob:
     targets = None
     if args.target:
         try:
             targets = frozenset(int(t) for t in args.target.split(","))
         except ValueError:
-            print(f"error: bad target list {args.target!r}", file=sys.stderr)
-            return EXIT_PARSE
-    try:
-        job = SearchJob(
-            n=args.n,
-            mode=args.mode,
-            target_counts=targets,
-            limit=args.limit,
-            seed=args.seed,
-            workers=args.workers,
-            checkpoint=args.checkpoint,
-            budget=args.budget,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        summary = run_search(job, out_path=args.out)
-    except ConstructionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+            raise ValueError(f"bad target list {args.target!r}") from None
+    return SearchJob(
+        n=args.n,
+        mode=args.mode,
+        target_counts=targets,
+        limit=args.limit,
+        seed=args.seed,
+        workers=args.workers,
+        checkpoint=args.checkpoint,
+        budget=args.budget,
+    )
+
+
+def _run_search(args, job) -> int:
+    summary = run_search(job, out_path=args.out)
     print(
         f"evaluated {summary.evaluated} sequences, "
         f"{summary.hits} hits, {summary.written} records, "
@@ -146,42 +121,38 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+# mode -> (ceiling, runner).  The ceiling is the largest n a suite
+# finishes at within minutes, and for trees the largest number of edges
+# the tree counts are exact for; distinct has none.  The trees suite and
+# distinct clamp n.
 SUITES = {
-    "lemmas": lambda n, budget: [
+    "lemmas": (9, lambda n, budget: [
         suites.suite_lattice(
             max_len=min(16, 2 * n + 4),
             max_alpha_len=min(12, 2 * n),
             max_card=min(10, n + 4),
         ),
         suites.suite_paths(n_max=n),
-    ],
-    "trees": lambda n, budget: [suites.suite_trees(n_max=min(n, 8))],
-    "parity": lambda n, budget: [suites.suite_parity(n, samples=budget)],
-    "tau": lambda n, budget: [suites.suite_tau(n_max=n)],
-    "distinct": lambda n, budget: [
+    ]),
+    "parity": (10, lambda n, budget: [suites.suite_parity(n, samples=budget)]),
+    "tau": (6, lambda n, budget: [suites.suite_tau(n_max=n)]),
+    "trees": (30, lambda n, budget: [suites.suite_trees(n_max=min(n, 8))]),
+    "distinct": (None, lambda n, budget: [
         suites.suite_distinct(n_max=min(n, 4), random_pairs=budget if n > 4 else 0)
-    ],
+    ]),
 }
 
-# the largest n a suite finishes at within minutes, and for trees the
-# largest number of edges the tree counts are exact for; the trees suite
-# and distinct clamp n
-_CEILINGS = {"lemmas": 9, "parity": 10, "tau": 6, "trees": 30}
 
-
-def cmd_verify(args) -> int:
-    if not _at_least_one(n=args.n, budget=args.budget):
-        return EXIT_PARSE
-    ceiling = _CEILINGS.get(args.mode)
+def _check_verify(args) -> None:
+    _at_least_one(n=args.n, budget=args.budget)
+    ceiling = SUITES[args.mode][0]
     if ceiling is not None and args.n > ceiling:
-        print(
-            f"error: --mode {args.mode} runs only through n={ceiling}, got {args.n}",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
-    results = SUITES[args.mode](args.n, args.budget)
+        raise ValueError(f"--mode {args.mode} runs only through n={ceiling}, got {args.n}")
+
+
+def _run_verify(args, _) -> int:
     code = EXIT_OK
-    for res in results:
+    for res in SUITES[args.mode][1](args.n, args.budget):
         for name, passed, detail in res.checks:
             if not passed:
                 print(f"FAIL {res.name}: {name} {detail}".rstrip())
@@ -193,18 +164,18 @@ def cmd_verify(args) -> int:
     return code
 
 
-def cmd_trees(args) -> int:
+def _check_trees(args) -> None:
+    _at_least_one(n=args.n)
+    ceiling = SUITES["trees"][0]
+    if args.n > ceiling:
+        raise ValueError(f"counts are exact only through n={ceiling}")
+
+
+def _run_trees(args, _) -> int:
     n = args.n
-    if not _at_least_one(n=n):
-        return EXIT_PARSE
-    ceiling = _CEILINGS["trees"]
-    if n > ceiling:
-        print(f"error: counts are exact only through n={ceiling}", file=sys.stderr)
-        return EXIT_PARSE
-    cn = trees.catalan(n)
     plane = trees.count_plane_trees(n)
     asym = trees.count_asymmetric(n)
-    print(f"ordered rooted trees with {n} edges: {cn}")
+    print(f"ordered rooted trees with {n} edges: {trees.catalan(n)}")
     print(f"plane trees: {plane}")
     print(f"asymmetric plane trees: {asym}")
     if n <= 8:
@@ -233,13 +204,13 @@ def main(argv=None) -> int:
     )
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--full", action="store_true", help="emit cycles, not just the spectrum")
-    p.set_defaults(func=cmd_build)
+    p.set_defaults(check=_check_build, run=_run_build)
 
     p = sub.add_parser("table1", help="count one- and two-cycle sequences per level")
     p.add_argument("--n", type=int, required=True, help="largest level to sweep")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--include-7", action="store_true", help="allow the long n=7 sweep")
-    p.set_defaults(func=cmd_table1)
+    p.set_defaults(check=_check_table1, run=_run_table1)
 
     p = sub.add_parser("search", help="search the parameter space")
     p.add_argument(
@@ -254,24 +225,39 @@ def main(argv=None) -> int:
     p.add_argument("--checkpoint", type=int, default=0, help="resume from this index")
     p.add_argument("--budget", type=int, default=100_000, help="evaluation cap")
     p.add_argument("--out", help="append JSONL records here")
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(check=_check_search, run=_run_search)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument(
         "--n", type=int, required=True,
-        help="level; at most "
-        + ", ".join(f"{ceiling} for {mode}" for mode, ceiling in _CEILINGS.items()),
+        help="level; at most " + ", ".join(
+            f"{ceiling} for {mode}"
+            for mode, (ceiling, _) in SUITES.items()
+            if ceiling is not None
+        ),
     )
     p.add_argument("--mode", choices=sorted(SUITES), required=True)
     p.add_argument("--budget", type=int, default=1000, help="sample count for sampled suites")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(check=_check_verify, run=_run_verify)
 
     p = sub.add_parser("trees", help="print the tree counting functions")
     p.add_argument("--n", type=int, required=True, help="number of edges")
-    p.set_defaults(func=cmd_trees)
+    p.set_defaults(check=_check_trees, run=_run_trees)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        checked = args.check(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        return args.run(args, checked)
+    except ConstructionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

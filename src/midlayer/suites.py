@@ -39,10 +39,6 @@ class SuiteResult:
         self.checks.append((name, passed, detail))
 
 
-def _suffix(ps: set, a: int, b: int) -> set:
-    return {p + (a, b) for p in ps}
-
-
 def suite_lattice(max_len: int = 16, max_alpha_len: int = 12, max_card: int = 10) -> SuiteResult:
     """Oracle checks on the path classes: the five step-append recursions,
     map-invariance of the two balanced classes, the mirrored pivot, class
@@ -50,64 +46,35 @@ def suite_lattice(max_len: int = 16, max_alpha_len: int = 12, max_card: int = 10
     res = SuiteResult("lattice")
     U, D = UP, DOWN
 
-    # the two four-term recursions on the upper range k = n+2 .. 2n+1,
-    # and the three middle-range equations, checked as exact set equality
-    # with pairwise-disjoint parts; length 2 is skipped because the
-    # single-point path fits neither side of the middle equations cleanly
+    # the step-append recursions, one row each: whether k runs over the
+    # upper range n+2 .. 2n+1 (else k = n, the middle-range equations),
+    # the class and upstep count of the whole at length m+2, and per part
+    # its classes, its upstep count at length m and the two steps
+    # appended, upstep counts relative to k.  Each is checked as exact set
+    # equality with pairwise-disjoint parts; length 2 is skipped because
+    # the single-point path fits neither side of the middle equations
+    # cleanly
+    four = ((0, D, D), (-1, U, D), (-1, D, U), (-2, U, U))
+    recursions = [
+        (True, tag, dk, [((tag,), dk + d, a, b) for d, a, b in four])
+        for tag, dk in ((D_EQ0, 0), (D_MINUS, 0), (D_GT0, 1))
+    ] + [
+        (False, D_EQ0, 1, [((D_EQ0, D_GT0), 1, D, D), ((D_EQ0,), 0, U, D)]),
+        (False, D_GT0, 2, [((D_GT0,), 2, D, D), ((D_GT0,), 1, U, D), ((D_GT0,), 1, D, U)]),
+        (False, D_MINUS, 1, [((D_MINUS,), 1, D, D), ((D_MINUS,), 0, U, D), ((D_EQ0,), 0, D, U)]),
+    ]
     for n in range(1, (max_len - 2) // 2 + 1):
         m = 2 * n
-        for tag in (D_EQ0, D_MINUS):
-            for k in range(n + 2, 2 * n + 2):
-                parts = [
-                    _suffix(enumerate_class(m, k, tag), D, D),
-                    _suffix(enumerate_class(m, k - 1, tag), U, D),
-                    _suffix(enumerate_class(m, k - 1, tag), D, U),
-                    _suffix(enumerate_class(m, k - 2, tag), U, U),
+        for upper, tag, dk, parts in recursions:
+            for k in range(n + 2, 2 * n + 2) if upper else (n,):
+                sets = [
+                    {p + (a, b) for t in tags for p in enumerate_class(m, k + d, t)}
+                    for tags, d, a, b in parts
                 ]
                 _check_partition(
-                    res, f"recursion {tag}({k}) at length {m + 2}",
-                    parts, enumerate_class(m + 2, k, tag),
+                    res, f"recursion {tag}({k + dk}) at length {m + 2}",
+                    sets, enumerate_class(m + 2, k + dk, tag),
                 )
-        for k in range(n + 2, 2 * n + 2):
-            parts = [
-                _suffix(enumerate_class(m, k + 1, D_GT0), D, D),
-                _suffix(enumerate_class(m, k, D_GT0), U, D),
-                _suffix(enumerate_class(m, k, D_GT0), D, U),
-                _suffix(enumerate_class(m, k - 1, D_GT0), U, U),
-            ]
-            _check_partition(
-                res, f"recursion {D_GT0}({k + 1}) at length {m + 2}",
-                parts, enumerate_class(m + 2, k + 1, D_GT0),
-            )
-        parts = [
-            _suffix(
-                enumerate_class(m, n + 1, D_EQ0) | enumerate_class(m, n + 1, D_GT0),
-                D, D,
-            ),
-            _suffix(enumerate_class(m, n, D_EQ0), U, D),
-        ]
-        _check_partition(
-            res, f"recursion {D_EQ0}({n + 1}) at length {m + 2}",
-            parts, enumerate_class(m + 2, n + 1, D_EQ0),
-        )
-        parts = [
-            _suffix(enumerate_class(m, n + 2, D_GT0), D, D),
-            _suffix(enumerate_class(m, n + 1, D_GT0), U, D),
-            _suffix(enumerate_class(m, n + 1, D_GT0), D, U),
-        ]
-        _check_partition(
-            res, f"recursion {D_GT0}({n + 2}) at length {m + 2}",
-            parts, enumerate_class(m + 2, n + 2, D_GT0),
-        )
-        parts = [
-            _suffix(enumerate_class(m, n + 1, D_MINUS), D, D),
-            _suffix(enumerate_class(m, n, D_MINUS), U, D),
-            _suffix(enumerate_class(m, n, D_EQ0), D, U),
-        ]
-        _check_partition(
-            res, f"recursion {D_MINUS}({n + 1}) at length {m + 2}",
-            parts, enumerate_class(m + 2, n + 1, D_MINUS),
-        )
 
     # invariance of the two balanced classes under every swap/mirror map,
     # plus the mirrored pivot abscissa on the once-below class
@@ -146,25 +113,22 @@ def suite_lattice(max_len: int = 16, max_alpha_len: int = 12, max_card: int = 10
     }
     bad = 0
     for m in range(max_len + 1):
-        for code in range(1 << m):
-            p = lattice.phi(code, m)
-            tag = lattice.classify(p).tag
-            if tag == lattice.NONE:
-                continue
-            end = lattice.heights(p)[-1]
-            in_domain = (
-                tag == D_EQ0
-                or (tag == D_GT0 and end >= 2)
-                or (tag == D_MINUS and end >= 0)
-            )
-            try:
-                d = lattice.decompose(p)
-            except ValueError:
-                bad += in_domain
-            except AssertionError:
-                bad += 1
-            else:
-                bad += glue[tag](d) != p
+        for k in range(m + 1):
+            for tag, codes in lattice._sweep(m, k).items():
+                if tag == lattice.NONE:
+                    continue
+                end = 2 * k - m
+                in_domain = tag == D_EQ0 or end >= (2 if tag == D_GT0 else 0)
+                for code in codes:
+                    p = lattice.phi(code, m)
+                    try:
+                        d = lattice.decompose(p)
+                    except ValueError:
+                        bad += in_domain
+                    except AssertionError:
+                        bad += 1
+                    else:
+                        bad += glue[tag](d) != p
     res.add("decompose recomposition", bad == 0, f"{bad} failures")
     return res
 

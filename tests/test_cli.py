@@ -242,3 +242,29 @@ def test_search_and_build_ceilings_exit_before_any_work(monkeypatch, capsys):
         assert captured.out == "" and "11" in captured.err
         with pytest.raises(AssertionError, match="engine started"):
             main(command(11))
+
+
+def test_internal_errors_exit_3_from_every_command(monkeypatch, capsys):
+    from midlayer.construct import ConstructionError
+
+    def broken(*args, **kwargs):
+        raise ConstructionError("injected")
+
+    commands = [
+        ["build", "--alpha", ",0,10"],
+        ["table1", "--n", "3"],
+        ["search", "--n", "3"],
+    ] + [["verify", "--n", "3", "--mode", mode] for mode in ("lemmas", "tau", "parity", "distinct")]
+    with monkeypatch.context() as patch:
+        patch.setattr("midlayer.construct._successors", broken)
+        for command in commands:
+            assert main(command) == 3, command
+            assert "internal error: injected" in capsys.readouterr().err, command
+
+    def no_pool(*args, **kwargs):
+        raise OSError("injected")
+
+    monkeypatch.setattr("midlayer.search.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("midlayer.search.multiprocessing.Pool", no_pool)
+    assert main(["table1", "--n", "3", "--workers", "2"]) == 4
+    assert "i/o error: injected" in capsys.readouterr().err
