@@ -36,13 +36,19 @@ step and a cycle spectrum therefore cost O(#paths), not O(#vertices), and
 only the families the middle family of the target level reads are ever
 built.  Full paths are needed only to assemble cycles and to check path
 structure.
+
+The permute-and-invert automorphism tau_alpha carries the 2-factor of
+(..., alpha) onto the 2-factor of (..., alpha reversed), so the two have
+the same cycle spectrum, and leaf_spectra walks once per reversal pair of
+final alphas.  suites.suite_tau checks the symmetry itself, as edge sets
+of the assembled 2-factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import lattice
 from .bitcube import AlphaVector, ParameterSequence, f_alpha
@@ -92,16 +98,29 @@ class ConstructionState:
         return {k: _family(self, k, True) for k in range(self.n, top)}
 
     @cached_property
-    def _by_last(self) -> list[int]:
-        """Middle-family path indices sorted by last vertex, checked to end
-        at the D_MINUS words of length 2n: path _by_last[r] ends at the r-th."""
-        fam = _family(self, self.n, False)
-        at = sorted(range(len(fam)), key=lambda i: fam[i][2])
-        _, (_, lasts) = _level_tables(self.n)
-        if [fam[i][2] for i in at] != lasts:
+    def _inv_by_last(self) -> list[int]:
+        """Path i of the middle family ends at the _inv_by_last[i]-th D_MINUS
+        word of length 2n, checked to be a permutation: the family ends at
+        exactly those words."""
+        _, (rank, _) = _level_tables(self.n)
+        try:
+            inv = [rank[t[2]] for t in _family(self, self.n, False)]
+            ok = len(inv) == len(set(inv)) == len(rank)
+        except KeyError:
+            ok = False
+        if not ok:
             raise ConstructionError(
                 f"middle family at level {self.n} does not end at the D_MINUS words"
             )
+        return inv
+
+    @cached_property
+    def _by_last(self) -> list[int]:
+        """Middle-family path indices sorted by last vertex, the inverse of
+        _inv_by_last: path _by_last[r] ends at the r-th D_MINUS word."""
+        at = [0] * len(self._inv_by_last)
+        for i, r in enumerate(self._inv_by_last):
+            at[r] = i
         return at
 
 
@@ -240,19 +259,63 @@ def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFact
     return TwoFactor(n, state.alpha_prefix + (alpha,), tuple(cycles))
 
 
-def cycle_spectrum(state: ConstructionState, alpha: AlphaVector) -> dict[int, int]:
-    """Cycle-length multiset of the 2-factor, without materializing it.
+def leaf_spectra(
+    state: ConstructionState, alphas: Iterable[AlphaVector]
+) -> list[dict[int, int]]:
+    """The cycle-length multiset of the 2-factor of each final alpha on the
+    state, in order, without materializing it, and with one walk per
+    reversal pair: alpha reversed gets a copy of alpha's spectrum, since
+    tau_alpha maps the one 2-factor onto the other.
 
     Each orbit of the path permutation contributes one cycle of length
-    (4n+2) times the orbit size.
+    (4n+2) times the orbit size.  The walk is over w = inv_at . fb . at . lb
+    with at = state._by_last and the tables of _alpha_tables: w is the succ
+    of _successors conjugated by at, so it has the same cycle type.  Each
+    orbit is marked in w itself, with the value len(w): a walk that reads
+    a mark other than its start's steps off the end of w, which happens
+    exactly when w is not a permutation.
     """
-    succ, _ = _successors(state, alpha)
-    unit = 4 * state.n + 2
-    spectrum: dict[int, int] = {}
-    for orbit in _orbits(succ):
-        length = unit * len(orbit)
-        spectrum[length] = spectrum.get(length, 0) + 1
-    return spectrum
+    n = state.n
+    at, inv_at = state._by_last, state._inv_by_last
+    unit = 4 * n + 2
+    walked: dict[AlphaVector, dict[int, int]] = {}
+    out = []
+    for alpha in alphas:
+        twin = walked.get(alpha[::-1])
+        if twin is not None:
+            out.append(dict(twin))
+            continue
+        if len(alpha) != n - 1:
+            raise ConstructionError(
+                f"alpha has length {len(alpha)}, expected {n - 1}"
+            )
+        fb, lb = _alpha_tables(n, alpha)
+        w = [inv_at[fb[at[r]]] for r in lb]
+        mark = len(w)
+        spectrum: dict[int, int] = {}
+        try:
+            for start in range(mark):
+                j = w[start]
+                if j == mark:
+                    continue
+                w[start] = mark
+                size = 1
+                while j != start:
+                    w[j], j = mark, w[j]
+                    size += 1
+                length = unit * size
+                spectrum[length] = spectrum.get(length, 0) + 1
+        except IndexError:
+            raise ConstructionError("cycle walk did not close") from None
+        walked[alpha] = spectrum
+        out.append(spectrum)
+    return out
+
+
+def cycle_spectrum(state: ConstructionState, alpha: AlphaVector) -> dict[int, int]:
+    """Cycle-length multiset of the 2-factor of one final alpha, by the
+    walk of leaf_spectra."""
+    return leaf_spectra(state, (alpha,))[0]
 
 
 def _advance(state: ConstructionState, alpha: AlphaVector) -> ConstructionState:

@@ -2,13 +2,14 @@
 
 Exhaustive search walks the alpha-prefix tree depth first, so the family
 construction for a prefix is done once and shared by every extension; for
-a fixed prefix at the target level, each choice of the final alpha vector
-only costs one pass over the middle family.  Sequences are totally
-ordered by the mixed-radix index whose most significant digit is the
-level-2 alpha and least significant the final one; checkpoints and resume
-are expressed in that index.  A parallel sweep gives each worker task the
-subtree below one level-(n-1) state, so the task layout depends only on n
-and the start index.
+a fixed prefix at the target level, the final alpha vectors cost one pass
+over the middle family per reversal pair, since an alpha vector and its
+reversal give the same cycle spectrum (construct.leaf_spectra).
+Sequences are totally ordered by the mixed-radix index whose most
+significant digit is the level-2 alpha and least significant the final
+one; checkpoints and resume are expressed in that index.  A parallel
+sweep gives each worker task the subtree below one level-(n-1) state, so
+the task layout depends only on n and the start index.
 
 Random and targeted modes sample alpha vectors uniformly per level from a
 seeded generator; targeted mode logs only the sequences with the desired
@@ -36,6 +37,7 @@ from .construct import (
     ConstructionState,
     _advance,
     cycle_spectrum,
+    leaf_spectra,
     state_for_prefix,
 )
 
@@ -124,10 +126,11 @@ def _walk(
 ) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
     level = state.n
     if level == n:
-        for j, alpha in enumerate(alpha_vectors(level)):
+        alphas = alpha_vectors(level)
+        for j, (alpha, sp) in enumerate(zip(alphas, leaf_spectra(state, alphas))):
             idx = base + j
             if idx >= start:
-                yield idx, state.alpha_prefix + (alpha,), cycle_spectrum(state, alpha)
+                yield idx, state.alpha_prefix + (alpha,), sp
     else:
         sub = num_sequences(n) // num_sequences(level)
         for j, alpha in enumerate(alpha_vectors(level)):

@@ -13,10 +13,13 @@ from midlayer.construct import (
     _advance,
     _alpha_tables,
     _image_tables,
+    _orbits,
+    _successors,
     assemble_two_factor,
     build,
     canonical_cycle,
     cycle_spectrum,
+    leaf_spectra,
     state_for_prefix,
 )
 from midlayer.search import alpha_vectors, random_sequence
@@ -258,6 +261,8 @@ def test_wrong_last_vertex_is_a_construction_error():
     with pytest.raises(ConstructionError, match="D_MINUS"):
         cycle_spectrum(spoiled(), (0, 0))
     with pytest.raises(ConstructionError, match="D_MINUS"):
+        leaf_spectra(spoiled(), alpha_vectors(3))
+    with pytest.raises(ConstructionError, match="D_MINUS"):
         _advance(spoiled(), (1, 0))
 
 
@@ -275,8 +280,88 @@ def test_image_off_the_endpoints_is_a_construction_error(monkeypatch):
     try:
         with pytest.raises(ConstructionError, match="not a family endpoint"):
             cycle_spectrum(state_for_prefix(((), (1,))), (0, 1))
+        with pytest.raises(ConstructionError, match="not a family endpoint"):
+            leaf_spectra(state_for_prefix(((), (1,))), alpha_vectors(3))
     finally:
         _alpha_tables.cache_clear()
+
+
+def test_repeated_last_vertex_is_a_construction_error():
+    # last vertices that are all D_MINUS words are not enough: two paths
+    # that end at the same word leave another word without a path
+    s = state_for_prefix(((), (1,)))
+    fam = list(construct._family(s, 3, False))
+    fam[0] = (*fam[0][:2], fam[1][2])
+    s._built[3, False] = tuple(fam)
+    with pytest.raises(ConstructionError, match="D_MINUS"):
+        leaf_spectra(s, alpha_vectors(3))
+
+
+def test_leaf_walk_refuses_a_wrong_alpha_or_a_non_permutation(monkeypatch):
+    state = state_for_prefix(((), (1,), (0, 1)))
+    with pytest.raises(ConstructionError, match="expected 3"):
+        leaf_spectra(state, [(0, 1, 1), (0, 1)])
+
+    # one duplicated lb entry makes w map two ranks to one, so some walk
+    # must stop at a marked entry other than its start
+    real = construct._alpha_tables
+
+    def spoiled(n, alpha):
+        fb, lb = real(n, alpha)
+        return fb, [lb[1]] + lb[1:]
+
+    monkeypatch.setattr(construct, "_alpha_tables", spoiled)
+    try:
+        with pytest.raises(ConstructionError, match="did not close"):
+            leaf_spectra(state, alpha_vectors(4))
+    finally:
+        _alpha_tables.cache_clear()
+
+
+def one_walk_per_alpha(state, alphas):
+    """The spectra from the orbits of each alpha's own succ, the path that
+    assemble_two_factor takes."""
+    unit = 4 * state.n + 2
+    out = []
+    for alpha in alphas:
+        sp = {}
+        for orbit in _orbits(_successors(state, alpha)[0]):
+            sp[unit * len(orbit)] = sp.get(unit * len(orbit), 0) + 1
+        out.append(sp)
+    return out
+
+
+def test_leaf_spectra_match_one_walk_per_alpha():
+    def check(state):
+        alphas = alpha_vectors(state.n)
+        assert leaf_spectra(state, alphas) == one_walk_per_alpha(state, alphas)
+
+    def walk(state):
+        check(state)
+        if state.n < 6:
+            for alpha in alpha_vectors(state.n):
+                walk(_advance(state, alpha))
+
+    walk(state_for_prefix(()))
+    rng = Random(13)
+    for level in range(7, 10):
+        for _ in range(20):
+            check(state_for_prefix(random_sequence(rng, level - 1)))
+
+
+def test_leaf_spectra_of_any_alpha_list_are_independent_dicts():
+    state = state_for_prefix(random_sequence(Random(2), 6))
+    alphas = alpha_vectors(7)
+    # some without their reversal partners, out of order and with a repeat
+    picked = [alphas[i] for i in (5, 1, 40, 5, 63, 2)]
+    assert leaf_spectra(state, picked) == one_walk_per_alpha(state, picked)
+
+    spectra = dict(zip(alphas, leaf_spectra(state, alphas)))
+    alpha = (1, 1, 0, 0, 0, 0)
+    partner = spectra[alpha[::-1]]
+    before = dict(partner)
+    spectra[alpha].clear()
+    assert partner == before != {}
 
 
 def test_families_do_not_depend_on_expansion_order():

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import pytest
 
 from midlayer import search
-from midlayer.construct import cycle_spectrum
 from midlayer.search import (
     TABLE1_EXPECTED,
     SearchJob,
@@ -105,12 +104,14 @@ def test_wall_ms_counts_from_the_previous_evaluated_record(tmp_path, monkeypatch
     # a clock that advances 1 ms per evaluated sequence: unlogged
     # evaluations between two hits must not add to the later hit's wall_ms
     clock = [0.0]
+    records = search.iter_exhaustive_parallel
 
-    def spectrum(state, alpha):
-        clock[0] += 0.001
-        return cycle_spectrum(state, alpha)
+    def stream(*args, **kwargs):
+        for record in records(*args, **kwargs):
+            clock[0] += 0.001
+            yield record
 
-    monkeypatch.setattr(search, "cycle_spectrum", spectrum)
+    monkeypatch.setattr(search, "iter_exhaustive_parallel", stream)
     monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     out = tmp_path / "hits.jsonl"
     summary = run_search(SearchJob(n=4, target_counts=frozenset({1})), out_path=out)
