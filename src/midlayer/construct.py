@@ -17,25 +17,26 @@ is affine over GF(2) and splits into one table per half of the word: an
 image vertex is two lookups, and f_alpha itself is called only to fill
 the tables (_image_tables).
 
-That permutation reads only the first and last vertex of each path, so the
-level step and the cycle spectrum read each path as its endpoint triple
-(first, second, last).  The first and last vertices of a level-n middle
-family are the Dyck and the D_MINUS words of length 2n, each set mapped
-onto itself by f_alpha, so both sides of the permutation are
-per-(n, alpha) tables over word ranks, read from the same image tables:
-sorted by first vertex, path j starts at the j-th smallest Dyck word,
-and each state keeps its path indices in the order of their last vertex.
+That permutation reads only the first and last vertex of each path, and
+only the last vertices depend on the alphas: first and second vertices are
+fixed lattice-path classes, kept once per (level, k) with the permutation
+that sorts the parts of a level step (_frame).  The first and last
+vertices of a level-n middle family are the Dyck and the D_MINUS words of
+length 2n, each set mapped onto itself by f_alpha, so both sides of the
+permutation are per-(n, alpha) tables over word ranks, read from the same
+image tables: sorted by first vertex, path j starts at the j-th smallest
+Dyck word, and each state keeps its path indices in the order of their
+last vertex.
 
 A state is its level step: the parent state, the alpha and the two
-permutations of the parent's middle family.  Its families, as triples or
-as full paths, are built from the parent's families by one rule on first
-read and kept in the state.  A path shifted into a copy of the cube is the
-path OR the shift, and the arc that replaces path i of the middle family
-has the triple (p[1], p[1] | s01, first of path succ[i] | s01).  A level
-step and a cycle spectrum therefore cost O(#paths), not O(#vertices), and
-only the families the middle family of the target level reads are ever
-built.  Full paths are needed only to assemble cycles and to check path
-structure.
+permutations of the parent's middle family.  Its families, as last
+vertices or as full paths, are built from the parent's families by one
+rule on first read, gathered by the frame's permutation and kept in the
+state.  A path shifted into a copy of the cube is the path OR the shift,
+and the arc that replaces path i of the middle family ends at the
+succ[i]-th Dyck word with the suffix 01.  A level step and a cycle
+spectrum therefore cost O(#paths), not O(#vertices), and only the
+families the middle family of the target level reads are ever built.
 
 The permute-and-invert automorphism tau_alpha carries the 2-factor of
 (..., alpha) onto the 2-factor of (..., alpha reversed), so the two have
@@ -46,6 +47,7 @@ of the assembled 2-factors.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Iterator
@@ -69,7 +71,8 @@ class ConstructionState:
     _successors gives for the parent's middle family and alpha.  Family k
     lives in the layer (k, k+1) of the 2n-cube, k = n .. 2n-1, sorted by
     first vertex; path j of the middle family starts at the j-th smallest
-    Dyck word of length 2n.  families lists the families up to k_cap.
+    Dyck word of length 2n.  families lists the families up to k_cap.  A
+    state keeps the families it has read, as last vertices or full paths.
     """
 
     parent: ConstructionState | None = field(repr=False)
@@ -104,7 +107,7 @@ class ConstructionState:
         exactly those words."""
         _, (rank, _) = _level_tables(self.n)
         try:
-            inv = [rank[t[2]] for t in _family(self, self.n, False)]
+            inv = list(map(rank.__getitem__, _family(self, self.n, False)))
             ok = len(inv) == len(set(inv)) == len(rank)
         except KeyError:
             ok = False
@@ -179,9 +182,7 @@ def _successors(
         )
     at = state._by_last
     fb, lb = _alpha_tables(n, alpha)
-    phat = [0] * len(at)
-    for r, i in enumerate(at):
-        phat[i] = at[lb[r]]
+    phat = [at[lb[r]] for r in state._inv_by_last]
     succ = [fb[j] for j in phat]
     return succ, phat
 
@@ -324,32 +325,64 @@ def _advance(state: ConstructionState, alpha: AlphaVector) -> ConstructionState:
     return ConstructionState(state, alpha, succ, phat, state.k_cap)
 
 
+@cache
+def _frame(n: int, k: int) -> tuple[array, array, array]:
+    """The alpha-free part of family k of level n: the first and second
+    vertex of each path, sorted by first vertex, and the permutation that
+    sorts the concatenated parts of _family's level step by first vertex.
+    By _family's rule on those two vertices only: the arc that replaces a
+    middle path starts at its second vertex s and goes on to s with the
+    suffix 01, so no alpha enters.  32-bit arrays hold any level up to 16.
+    """
+    if n == 1:  # the single path 10 -> 11 -> 01, which no level step made
+        if k != 1:
+            return array("I"), array("I"), array("I")
+        return array("I", [0b01]), array("I", [0b11]), array("I", [0])
+    p, m = n - 1, 2 * (n - 1)
+
+    def part(j: int, s: int) -> list[tuple[int, int]]:
+        if not p <= j < m:
+            return []
+        firsts, seconds, _ = _frame(p, j)
+        return [(a | s, b | s) for a, b in zip(firsts, seconds)]
+
+    parts = part(k, 0) + part(k - 1, 1 << m)
+    if k == n:
+        parts += [(b, b | 2 << m) for b in _frame(p, p)[1]]
+    else:
+        parts += part(k - 1, 2 << m) + part(k - 2, 3 << m)
+    order = sorted(range(len(parts)), key=parts.__getitem__)
+    firsts, seconds = (array("I", [parts[i][e] for i in order]) for e in (0, 1))
+    return firsts, seconds, array("I", order)
+
+
 def _family(state: ConstructionState, k: int, full: bool) -> tuple:
-    """Family k of the state, as endpoint triples or as full paths, built
-    on first read and kept in the state.
+    """Family k of the state, as last vertices or as full paths, built on
+    first read and kept in the state.
 
     Family k of level n+1 is family k of level n, family k-1 shifted into
     the 10-copy, and either the arcs that replace the middle family
-    (k = n+1) or family k-1 in the 01-copy and family k-2 in the 11-copy.
-    Each deleted first edge of the 2-factor leaves an arc from the old
-    second vertex to the next first vertex: the arc that replaces path i is
-    p[1], then block i with the suffixes 01 and 11 and without its first
-    vertex, then the first vertex of path succ[i] with the suffix 01.
+    (k = n+1) or family k-1 in the 01-copy and family k-2 in the 11-copy,
+    gathered by the order of _frame.  Each deleted first edge of the
+    2-factor leaves an arc from the old second vertex to the next first
+    vertex: the arc that replaces path i is p[1], then block i with the
+    suffixes 01 and 11 and without its first vertex, then the first vertex
+    of path succ[i], the succ[i]-th Dyck word, with the suffix 01.
     """
     fam = state._built.get((k, full))
     if fam is not None:
         return fam
     parent = state.parent
     if parent is None:
-        # the single path 10 -> 11 -> 01 is its own triple
-        fam = ((0b01, 0b11, 0b10),) if k == 1 else ()
+        # the single path 10 -> 11 -> 01
+        fam = ((0b01, 0b11, 0b10) if full else 0b10,) if k == 1 else ()
     else:
         n, m = parent.n, 2 * parent.n
         get = lambda j: _family(parent, j, full) if n <= j < m else ()
         if full:
             shift = lambda fam, s: [tuple(v | s for v in p) for p in fam]
         else:
-            shift = lambda fam, s: [(a | s, b | s, c | s) for a, b, c in fam]
+            shift = lambda fam, s: [v | s for v in fam]
         parts = list(get(k)) + shift(get(k - 1), 1 << m)
         if k == n + 1:
             mid, s01, s11 = get(n), 2 << m, 3 << m
@@ -359,14 +392,12 @@ def _family(state: ConstructionState, k: int, full: bool) -> tuple:
                     (p[1], *_block(p[1:], mid[h], tables, s01), mid[j][0] | s01)
                     for p, j, h in zip(mid, state.succ, state.phat)
                 ]
-            else:  # the (first, second, last) of the full arc
-                parts += [
-                    (p[1], p[1] | s01, mid[j][0] | s01) for p, j in zip(mid, state.succ)
-                ]
+            else:
+                dyck = _level_tables(n)[0][1]
+                parts += [dyck[j] | s01 for j in state.succ]
         else:
             parts += shift(get(k - 1), 2 << m) + shift(get(k - 2), 3 << m)
-        parts.sort()  # first vertices are distinct, so this sorts by them
-        fam = tuple(parts)
+        fam = tuple(map(parts.__getitem__, _frame(n + 1, k)[2]))
     state._built[k, full] = fam
     return fam
 

@@ -238,10 +238,11 @@ def _state_sample(n: int, seed: int, count: int):
 
 
 def _fsl_sets(state, k: int) -> tuple[set[int], set[int], set[int]]:
-    """First, second and last vertex sets of family k, read from the
-    endpoint triples that the level step uses."""
-    fam = construct._family(state, k, False)
-    return {t[0] for t in fam}, {t[1] for t in fam}, {t[2] for t in fam}
+    """First, second and last vertex sets of family k, read as the level
+    step reads them: the first two from the level's frame, the last from
+    the state."""
+    firsts, seconds, _ = construct._frame(state.n, k)
+    return set(firsts), set(seconds), set(construct._family(state, k, False))
 
 
 def suite_paths(n_max: int = 6, seed: int = 2024, states_per_level: int = 4) -> SuiteResult:

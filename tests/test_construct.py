@@ -181,7 +181,9 @@ def test_full_paths_end_at_their_triples():
     s = state_for_prefix(((), (1,), (0, 1)))
     assert list(s.families) == [4, 5, 6, 7]
     for k, fam in s.families.items():
-        assert [(p[0], p[1], p[-1]) for p in fam] == list(construct._family(s, k, False))
+        firsts, seconds, _ = construct._frame(s.n, k)
+        lasts = construct._family(s, k, False)
+        assert [(p[0], p[1], p[-1]) for p in fam] == list(zip(firsts, seconds, lasts))
 
 
 def test_alpha_tables_match_f_alpha():
@@ -228,9 +230,10 @@ def test_middle_family_starts_at_dyck_words_in_rank_order():
     # D_MINUS words
     def check(state):
         n = state.n
-        fam = construct._family(state, n, False)
-        assert [t[0] for t in fam] == sorted(lattice.dyck_bitstrings(2 * n))
-        assert sorted(t[2] for t in fam) == sorted(lattice.dminus_bitstrings(2 * n))
+        firsts = construct._frame(n, n)[0]
+        lasts = construct._family(state, n, False)
+        assert list(firsts) == sorted(lattice.dyck_bitstrings(2 * n))
+        assert sorted(lasts) == sorted(lattice.dminus_bitstrings(2 * n))
 
     def walk(state):
         check(state)
@@ -247,15 +250,39 @@ def test_middle_family_starts_at_dyck_words_in_rank_order():
             check(state_for_prefix(random_sequence(rng, level - 1), k_cap=level))
 
 
+def test_frames_and_last_vertices_match_full_families():
+    # the level step keeps only last vertices and reads first and second
+    # vertices from the frame of the level; the full paths must agree
+    def check(state):
+        n = state.n
+        for k, fam in state.families.items():
+            firsts, seconds, _ = construct._frame(n, k)
+            lasts = construct._family(state, k, False)
+            assert [(p[0], p[1], p[-1]) for p in fam] == list(zip(firsts, seconds, lasts))
+            assert all(a < b for a, b in zip(firsts, firsts[1:]))
+        assert list(construct._frame(n, n)[0]) == sorted(lattice.dyck_bitstrings(2 * n))
+
+    def walk(state):
+        check(state)
+        if state.n < 5:
+            for alpha in alpha_vectors(state.n):
+                walk(_advance(state, alpha))
+
+    walk(state_for_prefix(()))
+    rng = Random(11)
+    for level in range(6, 10):
+        for _ in range(3):
+            check(state_for_prefix(random_sequence(rng, level - 1)))
+
+
 def test_wrong_last_vertex_is_a_construction_error():
     # the last-vertex side of the permutation is a rank table, so a middle
     # family that does not end at the D_MINUS words must be refused
     def spoiled():
         s = state_for_prefix(((), (1,)))
-        fam = list(construct._family(s, 3, False))
-        first, second, last = fam[0]
-        fam[0] = (first, second, last ^ 0b11)
-        s._built[3, False] = tuple(fam)
+        lasts = list(construct._family(s, 3, False))
+        lasts[0] ^= 0b11
+        s._built[3, False] = tuple(lasts)
         return s
 
     with pytest.raises(ConstructionError, match="D_MINUS"):
@@ -290,9 +317,9 @@ def test_repeated_last_vertex_is_a_construction_error():
     # last vertices that are all D_MINUS words are not enough: two paths
     # that end at the same word leave another word without a path
     s = state_for_prefix(((), (1,)))
-    fam = list(construct._family(s, 3, False))
-    fam[0] = (*fam[0][:2], fam[1][2])
-    s._built[3, False] = tuple(fam)
+    lasts = list(construct._family(s, 3, False))
+    lasts[0] = lasts[1]
+    s._built[3, False] = tuple(lasts)
     with pytest.raises(ConstructionError, match="D_MINUS"):
         leaf_spectra(s, alpha_vectors(3))
 

@@ -48,6 +48,8 @@ RANDOM = {
     6: "d38a8a5a1f3ec906cbadbcd8c2f81fcfedbb06929177c1bea66df25741e44870",
     7: "451c41555eeb536b5d5cac3f06a0ae373653f3b043f0c227b30e8a9f1b7ed2ab",
     8: "df0b93c16bff93ab22c43a640a7b92d10bfd9e17d2dcf13b9c25fa27f825155c",
+    # computed before the level step kept last vertices instead of triples
+    9: "bfd5404d1e9b6af3efedfa7b73cb87512dadedfa800ec344f81a29e9553d0774",
 }
 
 BUILD_FULL = "0ef73d3ab2ba940930f8e67f35481e2ba59c82f4ee0afce5cc560b3bbd0a7faf"
