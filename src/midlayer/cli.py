@@ -123,23 +123,14 @@ def _run_search(args, job) -> int:
 
 # mode -> (ceiling, runner).  The ceiling is the largest n a suite
 # finishes at within minutes, and for trees the largest number of edges
-# the tree counts are exact for; distinct has none.  The trees suite and
-# distinct clamp n.
+# the tree counts are exact for; distinct has none.  Each suite sizes
+# itself from n; the trees and distinct suites clamp it.
 SUITES = {
-    "lemmas": (9, lambda n, budget: [
-        suites.suite_lattice(
-            max_len=min(16, 2 * n + 4),
-            max_alpha_len=min(12, 2 * n),
-            max_card=min(10, n + 4),
-        ),
-        suites.suite_paths(n_max=n),
-    ]),
-    "parity": (10, lambda n, budget: [suites.suite_parity(n, samples=budget)]),
-    "tau": (6, lambda n, budget: [suites.suite_tau(n_max=n)]),
-    "trees": (30, lambda n, budget: [suites.suite_trees(n_max=min(n, 8))]),
-    "distinct": (None, lambda n, budget: [
-        suites.suite_distinct(n_max=min(n, 4), random_pairs=budget if n > 4 else 0)
-    ]),
+    "lemmas": (9, lambda n, budget: [suites.suite_lattice(n), suites.suite_paths(n)]),
+    "parity": (10, lambda n, budget: [suites.suite_parity(n, budget)]),
+    "tau": (6, lambda n, budget: [suites.suite_tau(n)]),
+    "trees": (30, lambda n, budget: [suites.suite_trees(n)]),
+    "distinct": (None, lambda n, budget: [suites.suite_distinct(n, budget)]),
 }
 
 

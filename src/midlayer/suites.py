@@ -1,7 +1,8 @@
 """Named verification suites over the other modules.
 
-Each suite runs a bundle of related invariant checks at a caller-chosen
-scale and returns a SuiteResult listing every check with its outcome.
+Each suite runs a bundle of related invariant checks, sized by the level
+alone (the sampled suites also take their sample count), and returns a
+SuiteResult listing every check with its outcome.
 The suites only use public predicates and the brute-force oracles, so a
 passing run is an end-to-end cross-check of the construction engine
 rather than a tautology.
@@ -17,9 +18,9 @@ from random import Random
 
 from . import analysis, construct, lattice, trees
 from .bitcube import f_alpha, weight
-from .construct import build, state_for_prefix
+from .construct import state_for_prefix
 from .lattice import D_EQ0, D_GT0, D_MINUS, DOWN, UP, enumerate_class
-from .search import all_sequences, alpha_vectors, random_sequence
+from .search import all_sequences, alpha_vectors, iter_exhaustive, iter_random, random_sequence
 
 
 @dataclass
@@ -39,11 +40,14 @@ class SuiteResult:
         self.checks.append((name, passed, detail))
 
 
-def suite_lattice(max_len: int = 16, max_alpha_len: int = 12, max_card: int = 10) -> SuiteResult:
-    """Oracle checks on the path classes: the five step-append recursions,
-    map-invariance of the two balanced classes, the mirrored pivot, class
-    cardinalities, and decomposability."""
+def suite_lattice(level: int) -> SuiteResult:
+    """Oracle checks on the path classes: the five step-append recursions
+    and decomposability through length min(16, 2*level + 4),
+    map-invariance of the two balanced classes and the mirrored pivot
+    through length min(12, 2*level), and class cardinalities through
+    min(10, level + 4) upsteps."""
     res = SuiteResult("lattice")
+    max_len, max_alpha_len, max_card = min(16, 2 * level + 4), min(12, 2 * level), min(10, level + 4)
     U, D = UP, DOWN
 
     # the step-append recursions, one row each: whether k runs over the
@@ -153,14 +157,15 @@ def rotation_classes(n: int) -> tuple[set[trees.Tree], dict[str, int]]:
     return ts, classes
 
 
-def suite_trees(n_max: int = 8, psi_len: int = 16) -> SuiteResult:
+def suite_trees(edges: int) -> SuiteResult:
     """Tree bijection and counting checks: round trips and active depth
-    for every nonnegative path, rotation classes partitioning the trees,
-    and closed-form counts against both brute force and known values."""
+    for every nonnegative path through length 16, rotation classes
+    partitioning the trees and their brute-force counts through
+    min(edges, 8) edges, and closed-form counts against known values."""
     res = SuiteResult("trees")
 
     bad = []
-    for m in range(psi_len + 1):
+    for m in range(17):
         for code in range(1 << m):
             p = lattice.phi(code, m)
             if min(lattice.heights(p)) < 0:
@@ -173,9 +178,9 @@ def suite_trees(n_max: int = 8, psi_len: int = 16) -> SuiteResult:
                 bad.append(f"round trip of {lattice.format_path(p)}")
             if len(bad) > 3:
                 break
-    res.add(f"psi round trip through length {psi_len}", not bad, "; ".join(bad[:3]))
+    res.add("psi round trip through length 16", not bad, "; ".join(bad[:3]))
 
-    for n in range(1, n_max + 1):
+    for n in range(1, min(edges, 8) + 1):
         ts, classes = rotation_classes(n)
         res.add(
             f"psi injective on {n}-edge trees",
@@ -224,16 +229,15 @@ def _all_zero(n: int):
     return tuple((0,) * (i - 1) for i in range(1, n + 1))
 
 
-def _state_sample(n: int, seed: int, count: int):
-    """A few level-n states: the all-zero prefix plus seeded random ones
-    (exhaustive instead whenever that is at most count states)."""
-    if n == 1:
-        return [state_for_prefix(())]
-    rng = Random(seed)
-    prefixes = {tuple(random_sequence(rng, n - 1)) for _ in range(count)}
-    if 1 << ((n - 1) * (n - 2) // 2) <= count:
-        prefixes = set(all_sequences(n - 1))
-    prefixes.add(_all_zero(n - 1))
+def _state_sample(level: int):
+    """A few states at the level: every one through level 3, else the
+    all-zero prefix plus four seeded random ones."""
+    if level <= 3:
+        prefixes = set(all_sequences(level - 1))
+    else:
+        rng = Random(2024 + level)
+        prefixes = {tuple(random_sequence(rng, level - 1)) for _ in range(4)}
+        prefixes.add(_all_zero(level - 1))
     return [state_for_prefix(p) for p in sorted(prefixes)]
 
 
@@ -245,15 +249,16 @@ def _fsl_sets(state, k: int) -> tuple[set[int], set[int], set[int]]:
     return set(firsts), set(seconds), set(construct._family(state, k, False))
 
 
-def suite_paths(n_max: int = 6, seed: int = 2024, states_per_level: int = 4) -> SuiteResult:
-    """Structure of the stored path families: endpoint classes, coverage,
-    the length formula, the endpoint decomposition relations, and the
-    alpha-independence of the length multisets."""
+def suite_paths(level: int) -> SuiteResult:
+    """Structure of the stored path families at every level through the
+    given one: endpoint classes, coverage, the length formula, the
+    endpoint decomposition relations, and the alpha-independence of the
+    length multisets."""
     res = SuiteResult("paths")
-    for n in range(1, n_max + 1):
+    for n in range(1, level + 1):
         m = 2 * n
         length_multisets: dict[int, Counter] = {}
-        for si, state in enumerate(_state_sample(n, seed + n, states_per_level)):
+        for si, state in enumerate(_state_sample(n)):
             label = f"n={n} state {si}"
             for k, fam in state.families.items():
                 F, S, L = _fsl_sets(state, k)
@@ -312,7 +317,7 @@ def suite_paths(n_max: int = 6, seed: int = 2024, states_per_level: int = 4) -> 
         res.add(f"n={n} endpoint sets invariant", not bad, "; ".join(bad[:3]))
 
     # with the all-zero prefix the second/last decompositions agree exactly
-    for n in range(1, min(n_max + 2, 9)):
+    for n in range(1, min(level + 2, 9)):
         state = state_for_prefix(_all_zero(n - 1))
         m = 2 * n
         bad = []
@@ -325,31 +330,30 @@ def suite_paths(n_max: int = 6, seed: int = 2024, states_per_level: int = 4) -> 
     return res
 
 
-def suite_parity(n: int, samples: int = 1000, seed: int = 7) -> SuiteResult:
+def suite_parity(level: int, samples: int) -> SuiteResult:
     """Observed cycle-count parity against the closed-form prediction;
-    exhaustive through n=6, seeded samples beyond."""
-    from .search import iter_exhaustive, iter_random
-
+    exhaustive through level 6, seeded samples beyond."""
     res = SuiteResult("parity")
-    if n <= 6:
-        stream = iter_exhaustive(n)
-        label = f"n={n} exhaustive"
+    if level <= 6:
+        stream = iter_exhaustive(level)
+        label = f"n={level} exhaustive"
     else:
-        stream = islice(iter_random(n, seed), samples)
-        label = f"n={n} {samples} samples"
+        stream = islice(iter_random(level, 7), samples)
+        label = f"n={level} {samples} samples"
     bad = []
     for _, seq, sp in stream:
-        if sum(sp.values()) % 2 != analysis.predicted_parity(seq[-1], n):
+        if sum(sp.values()) % 2 != analysis.predicted_parity(seq[-1], level):
             bad.append(str(seq))
     res.add(label, not bad, "; ".join(bad[:3]))
     return res
 
 
-def suite_tau(n_max: int = 5) -> SuiteResult:
-    """Every pair of sequences differing by reversal of the final vector
-    maps onto each other under the permute-and-invert automorphism."""
+def suite_tau(level: int) -> SuiteResult:
+    """Every pair of sequences through the level differing by reversal of
+    the final vector maps onto each other under the permute-and-invert
+    automorphism."""
     res = SuiteResult("tau")
-    for n in range(1, n_max + 1):
+    for n in range(1, level + 1):
         bad = []
         for prefix in all_sequences(n - 1):
             state = state_for_prefix(prefix)
@@ -363,38 +367,36 @@ def suite_tau(n_max: int = 5) -> SuiteResult:
     return res
 
 
-def suite_distinct(n_max: int = 4, random_pairs: int = 0, seed: int = 11) -> SuiteResult:
-    """Pairwise distinctness of the produced edge sets: exhaustive up to
-    n_max, optionally plus seeded random pairs at n_max+1 and n_max+2."""
+def suite_distinct(level: int, pairs: int) -> SuiteResult:
+    """Pairwise distinctness of the produced edge sets: exhaustive through
+    min(level, 4), plus seeded random pairs at n=5 and n=6 when the level
+    is above 4."""
     res = SuiteResult("distinct")
-    for n in range(1, n_max + 1):
+    for n in range(1, min(level, 4) + 1):
         seqs = all_sequences(n)
         res.add(
             f"n={n} all {len(seqs)} sequences distinct",
             analysis.distinct_check(n, seqs),
         )
-    rng = Random(seed)
-    for n in (n_max + 1, n_max + 2):
-        if not random_pairs:
-            break
+    rng = Random(11)
+    for n in (5, 6) if level > 4 else ():
         bad = 0
-        for _ in range(random_pairs):
+        for _ in range(pairs):
             a = tuple(random_sequence(rng, n))
             b = tuple(random_sequence(rng, n))
             while b == a:
                 b = tuple(random_sequence(rng, n))
-            if analysis.edge_set(build(a)) == analysis.edge_set(build(b)):
-                bad += 1
-        res.add(f"n={n} {random_pairs} random pairs distinct", bad == 0, f"{bad} collisions")
+            bad += not analysis.distinct_check(n, (a, b))
+        res.add(f"n={n} {pairs} random pairs distinct", bad == 0, f"{bad} collisions")
     return res
 
 
-def suite_all_zero(n_max: int = 9) -> SuiteResult:
-    """Cycle structure of the all-zero sequences against the closed-form
-    tree counts and the extreme cycle lengths."""
+def suite_all_zero(level: int) -> SuiteResult:
+    """Cycle structure of the all-zero sequences through the level against
+    the closed-form tree counts and the extreme cycle lengths."""
     res = SuiteResult("all_zero")
-    expected_cycles = {n: trees.count_plane_trees(n) for n in range(1, n_max + 1)}
-    for n in range(1, n_max + 1):
+    expected_cycles = {n: trees.count_plane_trees(n) for n in range(1, level + 1)}
+    for n in range(1, level + 1):
         seq = _all_zero(n)
         sp = construct.cycle_spectrum(state_for_prefix(seq[:-1]), seq[-1])
         ncyc = sum(sp.values())

@@ -11,17 +11,11 @@ from random import Random
 
 import pytest
 
-from midlayer.analysis import (
-    distinct_check,
-    dyck_vertex_counts,
-    predicted_parity,
-    verify_two_factor,
-)
+from midlayer.analysis import dyck_vertex_counts, predicted_parity, verify_two_factor
 from midlayer.construct import build
 from midlayer.search import (
     TABLE1_EXPECTED,
     SearchJob,
-    alpha_vectors,
     iter_exhaustive,
     iter_random,
     random_sequence,
@@ -29,6 +23,7 @@ from midlayer.search import (
 )
 from midlayer.suites import (
     suite_all_zero,
+    suite_distinct,
     suite_lattice,
     suite_paths,
     suite_tau,
@@ -72,9 +67,9 @@ def test_criterion_2_extended_counts(capsys):
 
 
 def test_criterion_3_all_zero_structure(capsys):
-    res = suite_all_zero(n_max=9)
+    res = suite_all_zero(9)
     report(
-        capsys, 3, res.ok,
+        capsys, 3, res.ok and len(res.checks) == 23,
         f"all-zero cycle structure n=1..9 ({len(res.checks)} checks)"
         + ("" if res.ok else f": {res.failures[:3]}"),
     )
@@ -126,52 +121,48 @@ def test_criterion_5_parity(sweeps, capsys):
 
 
 def test_criterion_6_distinctness(capsys):
-    ok = True
-    for n in range(1, 5):
-        seqs = []
-        def extend(prefix, level):
-            if level > n:
-                seqs.append(prefix)
-                return
-            for a in alpha_vectors(level):
-                extend(prefix + (a,), level + 1)
-        extend((), 1)
-        ok = ok and distinct_check(n, seqs)
-    report(capsys, 6, ok, "all 2-factors pairwise distinct as edge sets, n<=4")
+    res = suite_distinct(4, 0)
+    names = [name for name, _, _ in res.checks]
+    covered = names == [f"n={n} all {c} sequences distinct" for n, c in enumerate((1, 2, 8, 64), 1)]
+    report(
+        capsys, 6, res.ok and covered,
+        "all 2-factors pairwise distinct as edge sets, n<=4"
+        + ("" if res.ok and covered else f": {names} {res.failures[:3]}"),
+    )
 
 
 def test_criterion_7_tau_automorphism(capsys):
-    res = suite_tau(n_max=5)
+    res = suite_tau(5)
     report(
-        capsys, 7, res.ok,
+        capsys, 7, res.ok and len(res.checks) == 5,
         "reversed-final-vector pairs map onto each other under the "
-        "permute-and-invert automorphism, n<=5"
+        f"permute-and-invert automorphism, n<=5 ({len(res.checks)} checks)"
         + ("" if res.ok else f": {res.failures[:3]}"),
     )
 
 
 def test_criterion_8_lattice_oracle(capsys):
-    res = suite_lattice(max_len=16, max_alpha_len=12)
+    res = suite_lattice(6)
     report(
-        capsys, 8, res.ok,
+        capsys, 8, res.ok and len(res.checks) == 122,
         f"lattice-class recursions, map invariance, and pivots "
         f"({len(res.checks)} checks)" + ("" if res.ok else f": {res.failures[:3]}"),
     )
 
 
 def test_criterion_9_tree_suite(capsys):
-    res = suite_trees(n_max=8, psi_len=16)
+    res = suite_trees(8)
     report(
-        capsys, 9, res.ok,
+        capsys, 9, res.ok and len(res.checks) == 36,
         f"tree bijection, rotation classes, and counting formulas "
         f"({len(res.checks)} checks)" + ("" if res.ok else f": {res.failures[:3]}"),
     )
 
 
 def test_criterion_10_path_structure(capsys):
-    res = suite_paths(n_max=6)
+    res = suite_paths(6)
     report(
-        capsys, 10, res.ok,
+        capsys, 10, res.ok and len(res.checks) == 333,
         f"family endpoint classes, length formula, and split relations "
         f"({len(res.checks)} checks)" + ("" if res.ok else f": {res.failures[:3]}"),
     )
