@@ -9,7 +9,11 @@ Sequences are totally ordered by the mixed-radix index whose most
 significant digit is the level-2 alpha and least significant the final
 one; checkpoints and resume are expressed in that index.  A parallel
 sweep gives each worker task the subtree below one level-(n-1) state, so
-the task layout depends only on n and the start index.
+the task layout depends only on n and the start index.  Each worker
+process has a pipe of its own, which the parent reads in its main
+thread: no pool, and no handler threads taking CPU from the workers.  A
+worker's exception is raised in the parent, and a worker that dies
+raises ChildProcessError instead of leaving the sweep waiting.
 
 Random and targeted modes sample alpha vectors uniformly per level from a
 seeded generator; targeted mode logs only the sequences with the desired
@@ -22,11 +26,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import pickle
 import time
-from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
 from random import Random
 from typing import Iterator
 
@@ -168,6 +171,39 @@ def _worker_sweep(args) -> list[tuple[int, ParameterSequence, dict[int, int]]]:
     return list(_walk(state_for_prefix(prefix), n, start, base))
 
 
+def _answer(task) -> bytes:
+    """A sweep task's records, or the exception it raised, pickled."""
+    try:
+        return pickle.dumps(_worker_sweep(task))
+    except Exception as exc:
+        return pickle.dumps(exc)
+
+
+def _serve(conn) -> None:
+    """A sweep worker: answer each task received on conn until the parent
+    closes it.
+
+    The answers are written by a thread of their own, so an answer the
+    parent has not read yet never holds up the next task.
+    """
+    import queue
+    import threading
+
+    answers: queue.SimpleQueue = queue.SimpleQueue()
+
+    def write() -> None:
+        while True:
+            conn.send_bytes(answers.get())
+
+    threading.Thread(target=write, daemon=True).start()
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        answers.put(_answer(task))
+
+
 def _sweep_tasks(n: int, start: int = 0) -> list[tuple]:
     """Worker tasks of a parallel sweep from index start, in index order:
     one per prefix of max(n-2, 0) alphas, that is the subtree below one
@@ -184,29 +220,79 @@ def _sweep_tasks(n: int, start: int = 0) -> list[tuple]:
 def iter_exhaustive_parallel(
     n: int, workers: int, start: int = 0
 ) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
-    """Same stream as iter_exhaustive, produced by a worker pool.
+    """Same stream as iter_exhaustive, produced by worker processes.
 
     Each task is the subtree below one level-(n-1) state, whatever the
     number of workers, so a task's records and a worker's memory stay
-    small; record order is preserved by consuming tasks in index order.
-    At most 2 * workers tasks are submitted and not yet fully consumed,
-    so a slow consumer holds at most that many finished subtrees.
+    small.  Task i goes to worker i mod workers over that worker's own
+    pipe; while waiting for the lowest unconsumed task, the parent reads
+    whichever worker is ready, and it yields records in index order.
+    Task i + 2 * workers is sent only after task i's records are all
+    consumed, so at most 2 * workers tasks are sent and not yet consumed,
+    and a slow consumer holds at most that many finished subtrees.  A
+    task's exception is raised here when its records are due; a worker
+    that exits early raises ChildProcessError.
     """
     if workers <= 1:
         yield from iter_exhaustive(n, start=start)
         return
-    tasks = iter(_sweep_tasks(n, start))
-    with multiprocessing.Pool(workers) as pool:
-        window = deque(
-            pool.apply_async(_worker_sweep, (task,))
-            for task in islice(tasks, 2 * workers)
+    from multiprocessing.connection import wait
+
+    tasks = _sweep_tasks(n, start)
+    conns, procs = [], []
+
+    def lost(w: int) -> ChildProcessError:
+        procs[w].join()
+        return ChildProcessError(
+            f"sweep worker {procs[w].pid} exited with code {procs[w].exitcode}"
         )
-        while window:
-            yield from window[0].get()
-            window.popleft()
-            task = next(tasks, None)
-            if task is not None:
-                window.append(pool.apply_async(_worker_sweep, (task,)))
+
+    def send(i: int) -> None:
+        try:
+            conns[i % workers].send(tasks[i])
+        except ConnectionError:
+            raise lost(i % workers) from None
+
+    try:
+        for _ in range(workers):
+            conn, child = multiprocessing.Pipe()
+            conns.append(conn)
+            try:
+                proc = multiprocessing.Process(target=_serve, args=(child,), daemon=True)
+                proc.start()
+            finally:
+                # only the worker holds its end, so the parent reads EOF
+                # once the worker exits
+                child.close()
+            procs.append(proc)
+        sent = min(2 * workers, len(tasks))
+        for i in range(sent):
+            send(i)
+        received = list(range(workers))  # each worker's next task to receive
+        done: dict[int, list | Exception] = {}
+        for head in range(len(tasks)):
+            while head not in done:
+                ready = wait([conns[w] for w in range(workers) if received[w] < sent])
+                for conn in ready:
+                    w = conns.index(conn)
+                    try:
+                        done[received[w]] = conn.recv()
+                    except (EOFError, ConnectionError):
+                        raise lost(w) from None
+                    received[w] += workers
+            if isinstance(done[head], Exception):
+                raise done.pop(head)
+            yield from done.pop(head)
+            if sent < len(tasks):
+                send(sent)
+                sent += 1
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 # --- front ends --------------------------------------------------------------

@@ -135,10 +135,10 @@ def test_table1_rejects_workers_below_one(capsys):
 
 
 def test_workers_above_cpu_count_exit_before_any_pool(monkeypatch, tmp_path, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a sweep worker was started")
 
-    monkeypatch.setattr("midlayer.search.multiprocessing.Pool", no_pool)
+    monkeypatch.setattr("midlayer.search.multiprocessing.Process", no_worker)
     too_many = str(os.cpu_count() + 1)
     assert main(["table1", "--n", "3", "--workers", too_many]) == 2
     assert capsys.readouterr().out == ""
@@ -176,22 +176,24 @@ def test_targeted_search_rejects_zero_budget(capsys):
 
 
 def test_table1_starts_one_pool(monkeypatch, capsys):
-    # only the last level is swept by the worker pool
+    # only the last level is swept, by one set of sweep workers
     import multiprocessing
 
-    pools, real_pool = [], multiprocessing.Pool
+    from midlayer.search import _serve
 
-    def counting_pool(*args, **kwargs):
-        pools.append(args)
-        return real_pool(*args, **kwargs)
+    started, real_process = [], multiprocessing.Process
+
+    def counting_process(*args, **kwargs):
+        started.append(kwargs["target"])
+        return real_process(*args, **kwargs)
 
     assert main(["table1", "--n", "4"]) == 0
     serial = capsys.readouterr().out
     monkeypatch.setattr("midlayer.search.os.cpu_count", lambda: 2)
-    monkeypatch.setattr("midlayer.search.multiprocessing.Pool", counting_pool)
+    monkeypatch.setattr("midlayer.search.multiprocessing.Process", counting_process)
     assert main(["table1", "--n", "4", "--workers", "2"]) == 0
     assert capsys.readouterr().out == serial
-    assert pools == [(2,)]
+    assert started == [_serve, _serve]
 
 
 def test_serial_search_modes_reject_workers(monkeypatch, tmp_path, capsys):
@@ -261,10 +263,10 @@ def test_internal_errors_exit_3_from_every_command(monkeypatch, capsys):
             assert main(command) == 3, command
             assert "internal error: injected" in capsys.readouterr().err, command
 
-    def no_pool(*args, **kwargs):
+    def no_worker(*args, **kwargs):
         raise OSError("injected")
 
     monkeypatch.setattr("midlayer.search.os.cpu_count", lambda: 2)
-    monkeypatch.setattr("midlayer.search.multiprocessing.Pool", no_pool)
+    monkeypatch.setattr("midlayer.search.multiprocessing.Process", no_worker)
     assert main(["table1", "--n", "3", "--workers", "2"]) == 4
     assert "i/o error: injected" in capsys.readouterr().err

@@ -1,13 +1,17 @@
 import json
 import multiprocessing
 import os
+import signal
 import time
+from contextlib import contextmanager
 from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
 from midlayer import search
+from midlayer.cli import main
+from midlayer.construct import ConstructionError
 from midlayer.search import (
     TABLE1_EXPECTED,
     SearchJob,
@@ -148,7 +152,7 @@ def test_run_search_targeted_stops_at_limit(tmp_path):
 
 
 def test_run_search_exhaustive_stops_at_limit(tmp_path):
-    # the pool is shut down as soon as the limit is reached
+    # the sweep workers are stopped as soon as the limit is reached
     out = tmp_path / "r.jsonl"
     job = SearchJob(
         n=5, mode="exhaustive", target_counts=frozenset({1}), limit=3, workers=2
@@ -232,6 +236,70 @@ def test_parallel_stream_bounds_tasks_in_flight(tmp_path, monkeypatch):
     finished = len(log.read_text().splitlines())
     assert 1 <= finished <= 4
     assert [first, *stream] == list(iter_exhaustive(6))
+
+
+@contextmanager
+def _deadline(seconds):
+    # fails a sweep that hangs instead of letting it block the test run
+    def expire(signum, frame):
+        raise TimeoutError(f"no result after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_sweep_workers_stop_at_normal_end_and_early_close():
+    with _deadline(20):
+        assert list(iter_exhaustive_parallel(4, 2)) == list(iter_exhaustive(4))
+        assert multiprocessing.active_children() == []
+        stream = iter_exhaustive_parallel(4, 2)
+        assert next(stream) == next(iter_exhaustive(4))
+        stream.close()
+        assert multiprocessing.active_children() == []
+
+
+def test_worker_construction_error_exits_3(monkeypatch, capsys):
+    # all engine work of `search --n 4` runs in the workers: the error is
+    # raised in one, sent back through its pipe and raised in the parent
+    def broken(*args, **kwargs):
+        raise ConstructionError(f"injected in process {os.getpid()}")
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("midlayer.construct._successors", broken)
+    with _deadline(20):
+        assert main(["search", "--n", "4", "--workers", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: injected in process" in err
+    assert f"injected in process {os.getpid()}" not in err
+    assert multiprocessing.active_children() == []
+
+
+def _dying_sweep(task):
+    if task[2]:  # every task but the first
+        os._exit(7)
+    return _worker_sweep(task)
+
+
+def test_worker_death_raises_child_process_error(monkeypatch, capsys):
+    # n=4 has two tasks, one per worker; the second worker exits mid-sweep
+    monkeypatch.setattr(search, "_worker_sweep", _dying_sweep)
+    serial = list(iter_exhaustive(4))
+    got = []
+    with _deadline(20):
+        with pytest.raises(ChildProcessError, match="exited with code 7"):
+            for record in iter_exhaustive_parallel(4, 2):
+                got.append(record)
+        assert got == serial[: len(got)] and len(got) < len(serial)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        assert main(["search", "--n", "4", "--workers", "2"]) == 4
+    assert "i/o error: sweep worker" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_n7_task_is_one_level_6_subtree():

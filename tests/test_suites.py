@@ -11,7 +11,7 @@ import dataclasses
 from functools import cache
 from hashlib import sha256
 
-from midlayer import cli, lattice
+from midlayer import analysis, cli, lattice, suites
 from midlayer.suites import suite_lattice
 
 # (mode, n, budget, suite name) -> sha256 of
@@ -36,6 +36,18 @@ PINS = {
     ("distinct", 3, 0, "distinct"): "2c3ad1af408912af72ee93934278f2d40a81d752b720411dbf61e105fc72e7c6",
     ("distinct", 5, 3, "distinct"): "4f125b5beb925d75c909a794c00f689e547664838f3af0e70e182fb12470edf2",
 }
+
+# The check lists name no sampled state or sequence, so the seeds are
+# pinned apart: level -> sha256 of repr of the alpha prefixes of
+# _state_sample(level), which suite_paths checks at that level
+STATE_SAMPLES = {
+    4: "a8487882a8f0a879905602941052c8849035e8cb9acbd3265cff42d040693e28",
+    5: "b7c951998278a9bee2980d22855bbbca166b15b0f26a703abdc7b18acd4b75e2",
+    6: "73910c3a4095fcc5eb08c9b8cf12933a4a2a153a1a74e739b695fdbba917206b",
+}
+
+# sha256 of repr of the (n, (a, b)) pairs that suite_distinct(5, 3) checks
+DISTINCT_PAIRS = "275ce1def66d3af49549d73fafc7462eeef3b551f9e15c3736b27b187a7bd603"
 
 
 @cache
@@ -85,3 +97,23 @@ def test_tau_suite_small():
 
 def test_distinct_suite_small():
     _assert_pinned("distinct")
+
+
+def test_state_samples_pinned():
+    for level, digest in STATE_SAMPLES.items():
+        prefixes = [state.alpha_prefix for state in suites._state_sample(level)]
+        assert sha256(repr(prefixes).encode()).hexdigest() == digest, level
+
+
+def test_distinct_pairs_pinned(monkeypatch):
+    pairs, real = [], analysis.distinct_check
+
+    def recording(n, seqs):
+        if n >= 5:
+            pairs.append((n, tuple(seqs)))
+        return real(n, seqs)
+
+    monkeypatch.setattr(analysis, "distinct_check", recording)
+    assert suites.suite_distinct(5, 3).ok
+    assert [n for n, _ in pairs] == [5, 5, 5, 6, 6, 6]
+    assert sha256(repr(pairs).encode()).hexdigest() == DISTINCT_PAIRS
