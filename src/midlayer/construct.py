@@ -156,6 +156,10 @@ def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], ...]:
     length 2n, and lb[r], the rank of the inverse of f_alpha on the r-th
     D_MINUS word.  That inverse is f_alpha(alpha[::-1], .), and both maps
     are read from the tables of _image_tables."""
+    if len(alpha) != n - 1:
+        raise ConstructionError(
+            f"alpha has length {len(alpha)}, expected {n - 1}"
+        )
     mask = (1 << n) - 1
     images = (_image_tables(alpha, 0), _image_tables(alpha[::-1], 0))
     try:
@@ -175,13 +179,8 @@ def _successors(
     """For each path index i of the middle family: phat[i], the path whose
     image block follows path i on its cycle, and succ[i], the path after
     that."""
-    n = state.n
-    if len(alpha) != n - 1:
-        raise ConstructionError(
-            f"alpha has length {len(alpha)}, expected {n - 1}"
-        )
     at = state._by_last
-    fb, lb = _alpha_tables(n, alpha)
+    fb, lb = _alpha_tables(state.n, alpha)
     phat = [at[lb[r]] for r in state._inv_by_last]
     succ = [fb[j] for j in phat]
     return succ, phat
@@ -286,10 +285,6 @@ def leaf_spectra(
         if twin is not None:
             out.append(dict(twin))
             continue
-        if len(alpha) != n - 1:
-            raise ConstructionError(
-                f"alpha has length {len(alpha)}, expected {n - 1}"
-            )
         fb, lb = _alpha_tables(n, alpha)
         w = [inv_at[fb[at[r]]] for r in lb]
         mark = len(w)

@@ -10,8 +10,8 @@ significant digit is the level-2 alpha and least significant the final
 one; checkpoints and resume are expressed in that index.  A parallel
 sweep gives each worker task the subtree below one level-(n-1) state, so
 the task layout depends only on n and the start index.  Each worker
-process has a pipe of its own, which the parent reads in its main
-thread: no pool, and no handler threads taking CPU from the workers.  A
+answers its tasks in order on a pipe of its own, which the parent reads
+in task order in its main thread: no pool, no handler threads.  A
 worker's exception is raised in the parent, and a worker that dies
 raises ChildProcessError instead of leaving the sweep waiting.
 
@@ -189,6 +189,10 @@ def _serve(conn) -> None:
     import queue
     import threading
 
+    # Without the writer thread, the 2-worker n=6 sweep (table1-n6-w2, 2
+    # CPUs) read 144k sequences/s against 152k with it, medians of 3
+    # alternating runs; and two n=7 answers (170-180 KB each) overflow the
+    # 212,992-byte socket buffer while the parent reads another pipe.
     answers: queue.SimpleQueue = queue.SimpleQueue()
 
     def write() -> None:
@@ -224,9 +228,9 @@ def iter_exhaustive_parallel(
 
     Each task is the subtree below one level-(n-1) state, whatever the
     number of workers, so a task's records and a worker's memory stay
-    small.  Task i goes to worker i mod workers over that worker's own
-    pipe; while waiting for the lowest unconsumed task, the parent reads
-    whichever worker is ready, and it yields records in index order.
+    small.  Task i goes to worker i mod workers, which answers in order
+    on its own pipe, so task i's answer is that pipe's next message: the
+    parent reads the pipes in task order and yields records in index order.
     Task i + 2 * workers is sent only after task i's records are all
     consumed, so at most 2 * workers tasks are sent and not yet consumed,
     and a slow consumer holds at most that many finished subtrees.  A
@@ -236,8 +240,6 @@ def iter_exhaustive_parallel(
     if workers <= 1:
         yield from iter_exhaustive(n, start=start)
         return
-    from multiprocessing.connection import wait
-
     tasks = _sweep_tasks(n, start)
     conns, procs = [], []
 
@@ -265,27 +267,20 @@ def iter_exhaustive_parallel(
                 # once the worker exits
                 child.close()
             procs.append(proc)
-        sent = min(2 * workers, len(tasks))
-        for i in range(sent):
+        for i in range(min(2 * workers, len(tasks))):
             send(i)
-        received = list(range(workers))  # each worker's next task to receive
-        done: dict[int, list | Exception] = {}
-        for head in range(len(tasks)):
-            while head not in done:
-                ready = wait([conns[w] for w in range(workers) if received[w] < sent])
-                for conn in ready:
-                    w = conns.index(conn)
-                    try:
-                        done[received[w]] = conn.recv()
-                    except (EOFError, ConnectionError):
-                        raise lost(w) from None
-                    received[w] += workers
-            if isinstance(done[head], Exception):
-                raise done.pop(head)
-            yield from done.pop(head)
-            if sent < len(tasks):
-                send(sent)
-                sent += 1
+        for i in range(len(tasks)):
+            w = i % workers
+            try:
+                answer = conns[w].recv()
+            except (EOFError, ConnectionError):
+                raise lost(w) from None
+            if isinstance(answer, Exception):
+                raise answer
+            yield from answer
+            del answer  # not held while the next recv blocks
+            if i + 2 * workers < len(tasks):
+                send(i + 2 * workers)
     finally:
         for proc in procs:
             proc.terminate()

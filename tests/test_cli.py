@@ -175,6 +175,7 @@ def test_targeted_search_rejects_zero_budget(capsys):
     assert code == 2
 
 
+@pytest.mark.deadline(20)
 def test_table1_starts_one_pool(monkeypatch, capsys):
     # only the last level is swept, by one set of sweep workers
     import multiprocessing

@@ -149,6 +149,16 @@ def test_state_families_sorted_by_first_vertex():
 def test_alpha_length_check():
     with pytest.raises(ConstructionError):
         cycle_spectrum(state_for_prefix(()), (0,))
+    # every step that reads the alpha tables refuses a wrong-length alpha
+    for prefix in (((),), ((), (1,))):
+        state = state_for_prefix(prefix)
+        for step in (_advance, assemble_two_factor, cycle_spectrum):
+            for alpha in ((0,) * state.n, (1,) * (state.n - 2)):
+                with pytest.raises(
+                    ConstructionError,
+                    match=f"alpha has length {len(alpha)}, expected {state.n - 1}$",
+                ):
+                    step(state, alpha)
 
 
 def all_sequences(n):

@@ -328,6 +328,8 @@ def observe(argv, tmp, monkeypatch, capsys):
     return code, digest([text]), err[-1] if err else ""
 
 
+# the workers-2 cases start sweep workers
+@pytest.mark.deadline(60)
 @pytest.mark.parametrize("case", sorted(CLI))
 def test_cli_invocation(case, tmp_path, monkeypatch, capsys):
     argv, code, out_digest, err_tail = CLI[case]

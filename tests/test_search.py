@@ -1,9 +1,7 @@
 import json
 import multiprocessing
 import os
-import signal
 import time
-from contextlib import contextmanager
 from functools import partial
 from types import SimpleNamespace
 
@@ -53,10 +51,15 @@ def test_exhaustive_resume_matches_full_run():
         assert list(iter_exhaustive(4, start=start)) == full[start:]
 
 
+@pytest.mark.deadline(20)
 def test_parallel_stream_equals_serial():
-    serial = list(iter_exhaustive(4))
+    # n=5 has 8 tasks of 128 records: starts at the first record, inside
+    # the first task, inside a later one and at the last record
+    serial = list(iter_exhaustive(5))
     for workers in (2, 3):
-        assert sorted(iter_exhaustive_parallel(4, workers)) == sorted(serial)
+        for start in (0, 1, 300, 1023):
+            got = list(iter_exhaustive_parallel(5, workers, start=start))
+            assert got == serial[start:]
 
 
 def test_random_stream_is_seed_deterministic():
@@ -151,6 +154,7 @@ def test_run_search_targeted_stops_at_limit(tmp_path):
     assert all(r["num_cycles"] in (1, 2) for r in records)
 
 
+@pytest.mark.deadline(20)
 def test_run_search_exhaustive_stops_at_limit(tmp_path):
     # the sweep workers are stopped as soon as the limit is reached
     out = tmp_path / "r.jsonl"
@@ -223,6 +227,7 @@ def _logged_sweep(log, task):
     return records
 
 
+@pytest.mark.deadline(20)
 def test_parallel_stream_bounds_tasks_in_flight(tmp_path, monkeypatch):
     # a consumer that stalls after one record leaves at most 2 * workers
     # tasks submitted and not yet consumed, so at most that many finish
@@ -238,31 +243,29 @@ def test_parallel_stream_bounds_tasks_in_flight(tmp_path, monkeypatch):
     assert [first, *stream] == list(iter_exhaustive(6))
 
 
-@contextmanager
-def _deadline(seconds):
-    # fails a sweep that hangs instead of letting it block the test run
-    def expire(signum, frame):
-        raise TimeoutError(f"no result after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+@pytest.mark.deadline(60)
+def test_answers_larger_than_half_the_socket_buffer():
+    # an n=7 task's answer pickles to 170-180 KB, more than half the
+    # 212,992-byte default socket buffer, so a worker's two answers in
+    # flight do not both fit in its pipe; from 5 records before the last
+    # three tasks
+    start = 2**21 - 3 * 2048 - 5
+    got = list(iter_exhaustive_parallel(7, 2, start=start))
+    assert got == list(iter_exhaustive(7, start=start))
+    assert multiprocessing.active_children() == []
 
 
+@pytest.mark.deadline(20)
 def test_sweep_workers_stop_at_normal_end_and_early_close():
-    with _deadline(20):
-        assert list(iter_exhaustive_parallel(4, 2)) == list(iter_exhaustive(4))
-        assert multiprocessing.active_children() == []
-        stream = iter_exhaustive_parallel(4, 2)
-        assert next(stream) == next(iter_exhaustive(4))
-        stream.close()
-        assert multiprocessing.active_children() == []
+    assert list(iter_exhaustive_parallel(4, 2)) == list(iter_exhaustive(4))
+    assert multiprocessing.active_children() == []
+    stream = iter_exhaustive_parallel(4, 2)
+    assert next(stream) == next(iter_exhaustive(4))
+    stream.close()
+    assert multiprocessing.active_children() == []
 
 
+@pytest.mark.deadline(20)
 def test_worker_construction_error_exits_3(monkeypatch, capsys):
     # all engine work of `search --n 4` runs in the workers: the error is
     # raised in one, sent back through its pipe and raised in the parent
@@ -271,8 +274,7 @@ def test_worker_construction_error_exits_3(monkeypatch, capsys):
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     monkeypatch.setattr("midlayer.construct._successors", broken)
-    with _deadline(20):
-        assert main(["search", "--n", "4", "--workers", "2"]) == 3
+    assert main(["search", "--n", "4", "--workers", "2"]) == 3
     err = capsys.readouterr().err
     assert "internal error: injected in process" in err
     assert f"injected in process {os.getpid()}" not in err
@@ -285,19 +287,20 @@ def _dying_sweep(task):
     return _worker_sweep(task)
 
 
+@pytest.mark.deadline(20)
 def test_worker_death_raises_child_process_error(monkeypatch, capsys):
-    # n=4 has two tasks, one per worker; the second worker exits mid-sweep
+    # n=4 has two tasks of 32 records, one per worker; the second worker
+    # exits mid-sweep, so the stream yields exactly the first task
     monkeypatch.setattr(search, "_worker_sweep", _dying_sweep)
     serial = list(iter_exhaustive(4))
     got = []
-    with _deadline(20):
-        with pytest.raises(ChildProcessError, match="exited with code 7"):
-            for record in iter_exhaustive_parallel(4, 2):
-                got.append(record)
-        assert got == serial[: len(got)] and len(got) < len(serial)
-        assert multiprocessing.active_children() == []
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-        assert main(["search", "--n", "4", "--workers", "2"]) == 4
+    with pytest.raises(ChildProcessError, match="exited with code 7"):
+        for record in iter_exhaustive_parallel(4, 2):
+            got.append(record)
+    assert got == serial[:32]
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    assert main(["search", "--n", "4", "--workers", "2"]) == 4
     assert "i/o error: sweep worker" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
 
