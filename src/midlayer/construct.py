@@ -19,22 +19,21 @@ the tables (_image_tables).
 
 That permutation reads only the first and last vertex of each path, and
 only the last vertices depend on the alphas: first and second vertices are
-fixed lattice-path classes, kept once per (level, k) with the permutation
-that sorts the parts of a level step (_frame).  The first and last
-vertices of a level-n middle family are the Dyck and the D_MINUS words of
-length 2n, each set mapped onto itself by f_alpha, so both sides of the
-permutation are per-(n, alpha) tables over word ranks, read from the same
-image tables: sorted by first vertex, path j starts at the j-th smallest
-Dyck word, and each state keeps its path indices in the order of their
-last vertex.
+fixed lattice-path classes, kept once per (level, k) in the order a level
+step builds them (_frame).  The first and last vertices of a level-n
+middle family are the Dyck and the D_MINUS words of length 2n, each set
+mapped onto itself by f_alpha, so both sides of the permutation are
+per-(n, alpha) tables read from the same image tables: one over the
+family's own positions, one over the ranks of the sorted D_MINUS words, in
+whose order each state keeps its path indices.
 
 A state is its level step: the parent state, the alpha and the two
 permutations of the parent's middle family.  Its families, as last
 vertices or as full paths, are built from the parent's families by one
-rule on first read, gathered by the frame's permutation and kept in the
-state.  A path shifted into a copy of the cube is the path OR the shift,
-and the arc that replaces path i of the middle family ends at the
-succ[i]-th Dyck word with the suffix 01.  A level step and a cycle
+rule on first read, in the order that rule concatenates them, and kept
+in the state.  A path shifted into a copy of the cube is the path OR the
+shift, and the arc that replaces path i of the middle family ends at the
+first vertex of path succ[i] with the suffix 01.  A level step and a cycle
 spectrum therefore cost O(#paths), not O(#vertices), and only the
 families the middle family of the target level reads are ever built.
 
@@ -69,9 +68,9 @@ class ConstructionState:
     parent is the state one level down (None at level 1), alpha the alpha
     vector of the parent's level, and succ and phat the permutations that
     _successors gives for the parent's middle family and alpha.  Family k
-    lives in the layer (k, k+1) of the 2n-cube, k = n .. 2n-1, sorted by
-    first vertex; path j of the middle family starts at the j-th smallest
-    Dyck word of length 2n.  families lists the families up to k_cap.  A
+    lives in the layer (k, k+1) of the 2n-cube, k = n .. 2n-1, in the order
+    of _family's level step; path j of family k starts at the j-th vertex
+    of _frame(n, k)[0].  families lists the families up to k_cap.  A
     state keeps the families it has read, as last vertices or full paths.
     """
 
@@ -142,20 +141,26 @@ class TwoFactor:
 
 @cache
 def _level_tables(n: int) -> tuple[tuple[dict[int, int], list[int]], ...]:
-    """Per level n, for the Dyck words of length 2n (the first vertices of
-    a middle family) and then the D_MINUS words (its last vertices): the
-    rank of each word in sorted order, and the words in that order."""
-    m = 2 * n
-    words = (lattice.dyck_bitstrings(m), lattice.dminus_bitstrings(m))
-    return tuple(({x: r for r, x in enumerate(w)}, w) for w in map(sorted, words))
+    """Per level n, for the first vertices of a middle family (the frame's,
+    checked to be the Dyck words of length 2n) and then the sorted D_MINUS
+    words (its last vertices): the position of each word, and the words."""
+    dyck = lattice.dyck_bitstrings(2 * n)
+    word = dict(zip(dyck, dyck))  # the cached word objects, not new ints
+    firsts = [word.get(x) for x in _frame(n, n)[0]]
+    if len(firsts) != len(dyck) or set(firsts) != dyck:
+        raise ConstructionError(
+            f"middle family at level {n} does not start at the Dyck words"
+        )
+    words = (firsts, sorted(lattice.dminus_bitstrings(2 * n)))
+    return tuple(({x: r for r, x in enumerate(w)}, w) for w in words)
 
 
 @cache
 def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], ...]:
-    """Per (n, alpha): fb[j], the rank of f_alpha of the j-th Dyck word of
-    length 2n, and lb[r], the rank of the inverse of f_alpha on the r-th
-    D_MINUS word.  That inverse is f_alpha(alpha[::-1], .), and both maps
-    are read from the tables of _image_tables."""
+    """Per (n, alpha): fb[j], the middle-family path that starts at f_alpha
+    of the first vertex of path j, and lb[r], the rank of the inverse of
+    f_alpha on the r-th D_MINUS word.  That inverse is
+    f_alpha(alpha[::-1], .), and both maps are read from _image_tables."""
     if len(alpha) != n - 1:
         raise ConstructionError(
             f"alpha has length {len(alpha)}, expected {n - 1}"
@@ -321,34 +326,28 @@ def _advance(state: ConstructionState, alpha: AlphaVector) -> ConstructionState:
 
 
 @cache
-def _frame(n: int, k: int) -> tuple[array, array, array]:
+def _frame(n: int, k: int) -> tuple[array, array]:
     """The alpha-free part of family k of level n: the first and second
-    vertex of each path, sorted by first vertex, and the permutation that
-    sorts the concatenated parts of _family's level step by first vertex.
-    By _family's rule on those two vertices only: the arc that replaces a
+    vertex of each path, in the order of _family's level step.  By
+    _family's rule on those two vertices only: the arc that replaces a
     middle path starts at its second vertex s and goes on to s with the
     suffix 01, so no alpha enters.  32-bit arrays hold any level up to 16.
     """
     if n == 1:  # the single path 10 -> 11 -> 01, which no level step made
-        if k != 1:
-            return array("I"), array("I"), array("I")
-        return array("I", [0b01]), array("I", [0b11]), array("I", [0])
+        return array("I", [0b01]), array("I", [0b11])
     p, m = n - 1, 2 * (n - 1)
-
-    def part(j: int, s: int) -> list[tuple[int, int]]:
-        if not p <= j < m:
-            return []
-        firsts, seconds, _ = _frame(p, j)
-        return [(a | s, b | s) for a, b in zip(firsts, seconds)]
-
-    parts = part(k, 0) + part(k - 1, 1 << m)
-    if k == n:
-        parts += [(b, b | 2 << m) for b in _frame(p, p)[1]]
-    else:
-        parts += part(k - 1, 2 << m) + part(k - 2, 3 << m)
-    order = sorted(range(len(parts)), key=parts.__getitem__)
-    firsts, seconds = (array("I", [parts[i][e] for i in order]) for e in (0, 1))
-    return firsts, seconds, array("I", order)
+    copies = [(k, 0), (k - 1, 1 << m)]
+    if k != n:
+        copies += [(k - 1, 2 << m), (k - 2, 3 << m)]
+    firsts, seconds = (
+        array("I", [x | s for j, s in copies if p <= j < m for x in _frame(p, j)[e]])
+        for e in (0, 1)
+    )
+    if k == n:  # the arcs that replace the middle family of level p
+        mid = _frame(p, p)[1]
+        firsts.extend(mid)
+        seconds.extend([x | 2 << m for x in mid])
+    return firsts, seconds
 
 
 def _family(state: ConstructionState, k: int, full: bool) -> tuple:
@@ -358,19 +357,18 @@ def _family(state: ConstructionState, k: int, full: bool) -> tuple:
     Family k of level n+1 is family k of level n, family k-1 shifted into
     the 10-copy, and either the arcs that replace the middle family
     (k = n+1) or family k-1 in the 01-copy and family k-2 in the 11-copy,
-    gathered by the order of _frame.  Each deleted first edge of the
-    2-factor leaves an arc from the old second vertex to the next first
-    vertex: the arc that replaces path i is p[1], then block i with the
-    suffixes 01 and 11 and without its first vertex, then the first vertex
-    of path succ[i], the succ[i]-th Dyck word, with the suffix 01.
+    concatenated in that order.  Each deleted first edge of the 2-factor
+    leaves an arc from the old second vertex to the next first vertex: the
+    arc that replaces path i is p[1], then block i with the suffixes 01
+    and 11 and without its first vertex, then the first vertex of path
+    succ[i] with the suffix 01.
     """
     fam = state._built.get((k, full))
     if fam is not None:
         return fam
     parent = state.parent
-    if parent is None:
-        # the single path 10 -> 11 -> 01
-        fam = ((0b01, 0b11, 0b10) if full else 0b10,) if k == 1 else ()
+    if parent is None:  # the single path 10 -> 11 -> 01
+        fam = ((0b01, 0b11, 0b10) if full else 0b10,)
     else:
         n, m = parent.n, 2 * parent.n
         get = lambda j: _family(parent, j, full) if n <= j < m else ()
@@ -388,11 +386,11 @@ def _family(state: ConstructionState, k: int, full: bool) -> tuple:
                     for p, j, h in zip(mid, state.succ, state.phat)
                 ]
             else:
-                dyck = _level_tables(n)[0][1]
-                parts += [dyck[j] | s01 for j in state.succ]
+                firsts = _level_tables(n)[0][1]
+                parts += [firsts[j] | s01 for j in state.succ]
         else:
             parts += shift(get(k - 1), 2 << m) + shift(get(k - 2), 3 << m)
-        fam = tuple(map(parts.__getitem__, _frame(n + 1, k)[2]))
+        fam = tuple(parts)
     state._built[k, full] = fam
     return fam
 

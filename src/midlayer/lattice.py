@@ -12,8 +12,9 @@ Three path classes matter here, all for paths with k upsteps:
 
 ``enumerate_class`` is a brute-force oracle sweeping all C(n, k) step
 sequences with k upsteps; ``dyck_bitstrings``/``dminus_bitstrings``
-generate the two middle classes compositionally for use in hot code paths
-(the oracle stays independent of them).
+generate the two middle classes compositionally, for checks outside the
+hot path: the construction reads them once per level, for a middle
+family's endpoints (the oracle stays independent of them).
 """
 
 from __future__ import annotations

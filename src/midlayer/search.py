@@ -50,7 +50,7 @@ from .construct import (
 EXHAUSTIVE_BOUND = 7
 
 # Largest level a random or targeted search accepts.  Memory grows about
-# 3x per level: the first three sequences take 59 MB at n=11 and 174 MB
+# 3x per level: the first three sequences take 57 MB at n=11 and 166 MB
 # at n=12, and a long run reaches the alpha tables of all 2^(n-1) final
 # alphas, 16 bytes per path each: about 1 GB at n=11 and 7 GB at n=12.
 SAMPLED_BOUND = 11

@@ -242,7 +242,7 @@ def _fsl_sets(state, k: int) -> tuple[set[int], set[int], set[int]]:
     """First, second and last vertex sets of family k, read as the level
     step reads them: the first two from the level's frame, the last from
     the state."""
-    firsts, seconds, _ = construct._frame(state.n, k)
+    firsts, seconds = construct._frame(state.n, k)
     return set(firsts), set(seconds), set(construct._family(state, k, False))
 
 

@@ -3,13 +3,6 @@ import signal
 import pytest
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "deadline(seconds): fail the test with TimeoutError after that many seconds",
-    )
-
-
 @pytest.fixture(autouse=True)
 def _deadline(request):
     # a test that starts sweep workers is marked, so a sweep that hangs

@@ -271,3 +271,58 @@ def test_internal_errors_exit_3_from_every_command(monkeypatch, capsys):
     monkeypatch.setattr("midlayer.search.multiprocessing.Process", no_worker)
     assert main(["table1", "--n", "3", "--workers", "2"]) == 4
     assert "i/o error: injected" in capsys.readouterr().err
+
+
+def test_table1_mismatch_exits_1(monkeypatch, capsys):
+    from midlayer.search import TABLE1_EXPECTED
+
+    monkeypatch.setitem(TABLE1_EXPECTED, 3, (2, 4))
+    assert main(["table1", "--n", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "3          2          3  MISMATCH expected (2, 4)" in out
+
+
+def test_verify_failing_check_exits_1(monkeypatch, capsys):
+    def failing(n):
+        res = suites.SuiteResult("tau")
+        res.add("injected", False, "detail")
+        return res
+
+    monkeypatch.setattr(suites, "suite_tau", failing)
+    assert main(["verify", "--n", "3", "--mode", "tau"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL tau: injected detail" in out
+    assert "suite tau: 1 checks, FAILED" in out
+
+
+def test_trees_brute_force_mismatch_exits_1(monkeypatch, capsys):
+    real = suites.rotation_classes
+
+    def short(n):
+        ts, classes = real(n)
+        return ts, dict(list(classes.items())[1:])
+
+    monkeypatch.setattr(suites, "rotation_classes", short)
+    assert main(["trees", "--n", "5"]) == 1
+    assert "MISMATCH: brute force found" in capsys.readouterr().out
+
+
+def test_build_failing_verification_exits_3(monkeypatch, capsys):
+    from midlayer import analysis
+
+    def failing(tf):
+        return analysis.VerificationReport(False, ["injected"])
+
+    monkeypatch.setattr(analysis, "verify_two_factor", failing)
+    assert main(["build", "--alpha", ",0,10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "internal error: injected" in captured.err
+
+
+def test_search_parity_violation_exits_3(monkeypatch, tmp_path, capsys):
+    from midlayer import search
+
+    real = search.predicted_parity
+    monkeypatch.setattr(search, "predicted_parity", lambda alpha, n: 1 - real(alpha, n))
+    assert main(["search", "--n", "3", "--out", str(tmp_path / "r.jsonl")]) == 3
+    assert "parity violation" in capsys.readouterr().err

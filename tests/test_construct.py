@@ -1,3 +1,4 @@
+from array import array
 from itertools import product
 from random import Random
 
@@ -68,7 +69,9 @@ def test_split_level_one():
     )
     short = tuple(bits(t) for t in ("1010", "1110", "0110"))
     top = tuple(bits(t) for t in ("1011", "1111", "0111"))
-    assert state_for_prefix(((),)).families == {2: (arc, short), 3: (top,)}
+    # family 2 in level-step order: the path shifted into the 10-copy,
+    # then the arc that replaces the middle path
+    assert state_for_prefix(((),)).families == {2: (short, arc), 3: (top,)}
 
 
 def test_level_two_fsl_example():
@@ -139,11 +142,10 @@ def test_cycles_are_canonical_and_sorted():
         assert c[1] < c[-1]
 
 
-def test_state_families_sorted_by_first_vertex():
+def test_state_families_start_at_their_frame():
     s = state_for_prefix(((), (1,)))
-    for fam in s.families.values():
-        firsts = [p[0] for p in fam]
-        assert firsts == sorted(firsts)
+    for k, fam in s.families.items():
+        assert [p[0] for p in fam] == list(construct._frame(s.n, k)[0])
 
 
 def test_alpha_length_check():
@@ -191,15 +193,16 @@ def test_full_paths_end_at_their_triples():
     s = state_for_prefix(((), (1,), (0, 1)))
     assert list(s.families) == [4, 5, 6, 7]
     for k, fam in s.families.items():
-        firsts, seconds, _ = construct._frame(s.n, k)
+        firsts, seconds = construct._frame(s.n, k)
         lasts = construct._family(s, k, False)
         assert [(p[0], p[1], p[-1]) for p in fam] == list(zip(firsts, seconds, lasts))
 
 
 def test_alpha_tables_match_f_alpha():
-    # fb ranks f_alpha of each Dyck word, lb its inverse on each D_MINUS word
+    # fb finds the middle path that starts at f_alpha of each first vertex,
+    # lb ranks the inverse of f_alpha on each D_MINUS word
     def check(n, alpha):
-        dyck = sorted(lattice.dyck_bitstrings(2 * n))
+        dyck = construct._frame(n, n)[0]
         lasts = sorted(lattice.dminus_bitstrings(2 * n))
         fb, lb = _alpha_tables(n, alpha)
         assert [dyck[j] for j in fb] == [f_alpha(alpha, x) for x in dyck]
@@ -234,16 +237,18 @@ def test_image_tables_match_f_alpha():
             check(n, alpha, [rng.getrandbits(2 * n) for _ in range(2000)])
 
 
-def test_middle_family_starts_at_dyck_words_in_rank_order():
-    # the alpha tables index paths by word rank, which holds only if every
-    # middle family starts at the sorted Dyck words and ends at exactly the
+def test_middle_family_starts_at_dyck_words_in_frame_order():
+    # the alpha tables index paths by their position in the frame, and
+    # f_alpha permutes the first and the last vertices only if every middle
+    # family starts at exactly the Dyck words and ends at exactly the
     # D_MINUS words
     def check(state):
         n = state.n
         firsts = construct._frame(n, n)[0]
         lasts = construct._family(state, n, False)
-        assert list(firsts) == sorted(lattice.dyck_bitstrings(2 * n))
+        assert sorted(firsts) == sorted(lattice.dyck_bitstrings(2 * n))
         assert sorted(lasts) == sorted(lattice.dminus_bitstrings(2 * n))
+        assert construct._level_tables(n)[0][1] == list(firsts)
 
     def walk(state):
         check(state)
@@ -266,11 +271,11 @@ def test_frames_and_last_vertices_match_full_families():
     def check(state):
         n = state.n
         for k, fam in state.families.items():
-            firsts, seconds, _ = construct._frame(n, k)
+            firsts, seconds = construct._frame(n, k)
             lasts = construct._family(state, k, False)
             assert [(p[0], p[1], p[-1]) for p in fam] == list(zip(firsts, seconds, lasts))
-            assert all(a < b for a, b in zip(firsts, firsts[1:]))
-        assert list(construct._frame(n, n)[0]) == sorted(lattice.dyck_bitstrings(2 * n))
+            assert len(set(firsts)) == len(firsts)
+        assert set(construct._frame(n, n)[0]) == lattice.dyck_bitstrings(2 * n)
 
     def walk(state):
         check(state)
@@ -323,6 +328,29 @@ def test_image_off_the_endpoints_is_a_construction_error(monkeypatch):
         _alpha_tables.cache_clear()
 
 
+def test_wrong_first_vertex_is_a_construction_error(monkeypatch):
+    # the alpha tables take the middle family's first vertices from the
+    # frame, so a frame that does not start at the Dyck words is refused
+    real = construct._frame
+    for n in (1, 2, 4):
+        real(n, n)  # cached, so the spoiled frame never reaches a real one
+
+    def spoiled(n, k):
+        firsts, seconds = real(n, k)
+        firsts = array("I", firsts)
+        firsts[0] ^= 1
+        return firsts, seconds
+
+    monkeypatch.setattr(construct, "_frame", spoiled)
+    construct._level_tables.cache_clear()
+    try:
+        for n in (1, 2, 4):
+            with pytest.raises(ConstructionError, match="Dyck words"):
+                construct._level_tables(n)
+    finally:
+        construct._level_tables.cache_clear()
+
+
 def test_repeated_last_vertex_is_a_construction_error():
     # last vertices that are all D_MINUS words are not enough: two paths
     # that end at the same word leave another word without a path
@@ -353,6 +381,21 @@ def test_leaf_walk_refuses_a_wrong_alpha_or_a_non_permutation(monkeypatch):
             leaf_spectra(state, alpha_vectors(4))
     finally:
         _alpha_tables.cache_clear()
+
+
+def test_assembly_refuses_a_non_permutation(monkeypatch):
+    # with succ sending every path to path 0, the walk from path 1 reaches
+    # path 0, visited and not its start
+    state = state_for_prefix(((), (1,), (0, 1)))
+    real = construct._successors
+
+    def spoiled(state, alpha):
+        succ, phat = real(state, alpha)
+        return [0] * len(succ), phat
+
+    monkeypatch.setattr(construct, "_successors", spoiled)
+    with pytest.raises(ConstructionError, match="cycle walk did not close"):
+        assemble_two_factor(state, (1, 0, 1))
 
 
 def one_walk_per_alpha(state, alphas):
