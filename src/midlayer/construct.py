@@ -7,11 +7,12 @@ builds the 2-factor of the middle layer of the (2n+1)-cube out of the
 middle family and a level-n alpha vector, then splits it back into the
 families of the next level.
 
-Vertices are ints (see bitcube) and paths are tuples of vertex ints.
-Each cycle of the 2-factor alternates between whole stored paths
-suffixed with 0 and reversed f_alpha images suffixed with 1; assembly
-therefore reduces to a permutation on the middle family and concatenation
-of its blocks, and the cycle lengths to the orbit sizes of that
+Vertices are ints (see bitcube); a family of full paths is one flat list
+of vertices plus its path ends.  Each cycle of the 2-factor alternates
+between whole stored paths suffixed with 0 and reversed f_alpha images
+suffixed with 1; assembly therefore reduces to a permutation on the
+middle family and two slices per block, of the family and of its
+reversed image, and the cycle lengths to the orbit sizes of that
 permutation.  f_alpha is a bit permutation followed by a complement, so it
 is affine over GF(2) and splits into one table per half of the word: an
 image vertex is two lookups, and f_alpha itself is called only to fill
@@ -33,9 +34,9 @@ vertices or as full paths, are built from the parent's families by one
 rule on first read, in the order that rule concatenates them, and kept
 in the state.  A path shifted into a copy of the cube is the path OR the
 shift, and the arc that replaces path i of the middle family ends at the
-first vertex of path succ[i] with the suffix 01.  A level step and a cycle
-spectrum therefore cost O(#paths), not O(#vertices), and only the
-families the middle family of the target level reads are ever built.
+first vertex of path succ[i] with the suffix 01, so a level step and a
+cycle spectrum cost O(#paths), not O(#vertices).  Only the families the
+middle family of the target level reads are ever built.
 
 The permute-and-invert automorphism tau_alpha carries the 2-factor of
 (..., alpha) onto the 2-factor of (..., alpha reversed), so the two have
@@ -70,8 +71,9 @@ class ConstructionState:
     _successors gives for the parent's middle family and alpha.  Family k
     lives in the layer (k, k+1) of the 2n-cube, k = n .. 2n-1, in the order
     of _family's level step; path j of family k starts at the j-th vertex
-    of _frame(n, k)[0].  families lists the families up to k_cap.  A
-    state keeps the families it has read, as last vertices or full paths.
+    of _frame(n, k)[0].  families lists the families up to k_cap, as
+    tuples of paths.  A state keeps the families it has read, as last
+    vertices or as full paths in one flat list each (_family).
     """
 
     parent: ConstructionState | None = field(repr=False)
@@ -97,7 +99,8 @@ class ConstructionState:
     def families(self) -> dict[int, tuple[Path, ...]]:
         """The full paths of every listed family."""
         top = 2 * self.n if self.k_cap is None else min(2 * self.n, self.k_cap + 1)
-        return {k: _family(self, k, True) for k in range(self.n, top)}
+        paths = lambda flat, ends: tuple(tuple(flat[a:b]) for a, b in zip((0, *ends), ends))
+        return {k: paths(*_family(self, k, True)) for k in range(self.n, top)}
 
     @cached_property
     def _inv_by_last(self) -> list[int]:
@@ -237,14 +240,14 @@ def _image_tables(alpha: AlphaVector, hi: int) -> tuple[int, list[int], list[int
     return h, low, up
 
 
-def _block(p: Path, q: Path, tables: tuple, lo: int) -> list[int]:
-    """One block of a 2-factor cycle: path p with the suffix bits lo, then
-    the image of path q under the tables of _image_tables (f_alpha with
-    the suffix bits hi), traversed backwards.  Each image vertex is two
-    table lookups, one per half of the word."""
-    h, low, up = tables
+def _reversed_image(flat: list[int], alpha: AlphaVector, hi: int) -> list[int]:
+    """f_alpha(alpha, v) | hi for each v of flat, last first: path
+    flat[a:b] of a family of L vertices has its reversed image at
+    [L - b : L - a].  Each image vertex is two lookups in the tables of
+    _image_tables, one per half of the word."""
+    h, low, up = _image_tables(alpha, hi)
     mask = (1 << h) - 1
-    return [v | lo for v in p] + [low[v & mask] ^ up[v >> h] for v in reversed(q)]
+    return [low[v & mask] ^ up[v >> h] for v in reversed(flat)]
 
 
 def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFactor:
@@ -252,13 +255,17 @@ def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFact
     into the 2-factor of the middle layer of the (2n+1)-cube."""
     n = state.n
     succ, phat = _successors(state, alpha)
-    fam = _family(state, n, True)
-    tables = _image_tables(alpha, 1 << (2 * n))
+    flat, ends = _family(state, n, True)
+    rev = _reversed_image(flat, alpha, 1 << (2 * n))
+    size = len(flat)
+    starts = [0, *ends[:-1]]
     cycles = []
     for orbit in _orbits(succ):
         verts: list[int] = []
         for j in orbit:
-            verts += _block(fam[j], fam[phat[j]], tables, 0)
+            h = phat[j]
+            verts += flat[starts[j] : ends[j]]
+            verts += rev[size - ends[h] : size - starts[h]]
         cycles.append(canonical_cycle(verts))
     cycles.sort(key=lambda c: c[0])
     return TwoFactor(n, state.alpha_prefix + (alpha,), tuple(cycles))
@@ -351,46 +358,55 @@ def _frame(n: int, k: int) -> tuple[array, array]:
 
 
 def _family(state: ConstructionState, k: int, full: bool) -> tuple:
-    """Family k of the state, as last vertices or as full paths, built on
-    first read and kept in the state.
+    """Family k of the state, as a tuple of last vertices or, full, as
+    (flat, ends): the vertices of all paths in one list, path i ending
+    before ends[i].  Built on first read and kept in the state.
 
     Family k of level n+1 is family k of level n, family k-1 shifted into
     the 10-copy, and either the arcs that replace the middle family
     (k = n+1) or family k-1 in the 01-copy and family k-2 in the 11-copy,
     concatenated in that order.  Each deleted first edge of the 2-factor
     leaves an arc from the old second vertex to the next first vertex: the
-    arc that replaces path i is p[1], then block i with the suffixes 01
-    and 11 and without its first vertex, then the first vertex of path
-    succ[i] with the suffix 01.
+    arc that replaces path i is p[1], then p[1:] with the suffix 01, then
+    the reversed f_alpha image of path phat[i] with the suffix 11, then the
+    first vertex of path succ[i] with the suffix 01: four slices.
     """
     fam = state._built.get((k, full))
     if fam is not None:
         return fam
     parent = state.parent
     if parent is None:  # the single path 10 -> 11 -> 01
-        fam = ((0b01, 0b11, 0b10) if full else 0b10,)
+        flat, ends = ([0b01, 0b11, 0b10] if full else [0b10]), [3]
     else:
+        flat, ends = [], []
         n, m = parent.n, 2 * parent.n
-        get = lambda j: _family(parent, j, full) if n <= j < m else ()
-        if full:
-            shift = lambda fam, s: [tuple(v | s for v in p) for p in fam]
-        else:
-            shift = lambda fam, s: [v | s for v in fam]
-        parts = list(get(k)) + shift(get(k - 1), 1 << m)
-        if k == n + 1:
-            mid, s01, s11 = get(n), 2 << m, 3 << m
-            if full:
-                tables = _image_tables(state.alpha, s11)
-                parts += [
-                    (p[1], *_block(p[1:], mid[h], tables, s01), mid[j][0] | s01)
-                    for p, j, h in zip(mid, state.succ, state.phat)
-                ]
-            else:
-                firsts = _level_tables(n)[0][1]
-                parts += [firsts[j] | s01 for j in state.succ]
-        else:
-            parts += shift(get(k - 1), 2 << m) + shift(get(k - 2), 3 << m)
-        fam = tuple(parts)
+        copies = [(k, 0), (k - 1, 1 << m)]
+        if k != n + 1:
+            copies += [(k - 1, 2 << m), (k - 2, 3 << m)]
+        for j, s in copies:
+            if n <= j < m:
+                part = _family(parent, j, full)
+                if full:
+                    part, part_ends = part
+                    size = len(flat)
+                    ends += [e + size for e in part_ends]
+                flat += [v | s for v in part] if s else part
+        if k == n + 1 and not full:
+            firsts = _level_tables(n)[0][1]
+            flat += [firsts[j] | 2 << m for j in state.succ]
+        elif k == n + 1:  # the arcs that replace the middle family
+            mid, mid_ends = _family(parent, n, True)
+            mid01 = [v | 2 << m for v in mid]
+            rev = _reversed_image(mid, state.alpha, 3 << m)
+            size = len(mid)
+            starts = [0, *mid_ends[:-1]]
+            for a, b, j, h in zip(starts, mid_ends, state.succ, state.phat):
+                flat.append(mid[a + 1])
+                flat += mid01[a + 1 : b]
+                flat += rev[size - mid_ends[h] : size - starts[h]]
+                flat.append(mid01[starts[j]])
+                ends.append(len(flat))
+    fam = (flat, ends) if full else tuple(flat)
     state._built[k, full] = fam
     return fam
 
@@ -414,5 +430,7 @@ def build(seq: ParameterSequence) -> TwoFactor:
     for i, a in enumerate(seq, start=1):
         if len(a) != i - 1:
             raise ValueError(f"alpha vector {i} has length {len(a)}, expected {i - 1}")
+        if set(map(str, a)) - {"0", "1"}:  # entries spectrum_json writes as 0 or 1
+            raise ValueError(f"alpha vector {i} has entries {a}, expected 0 or 1")
     state = state_for_prefix(seq[:-1])
     return assemble_two_factor(state, seq[-1])

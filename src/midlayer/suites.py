@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice, product
 from math import comb
 from random import Random
@@ -157,13 +158,10 @@ def rotation_classes(n: int) -> tuple[set[trees.Tree], dict[str, int]]:
     return ts, classes
 
 
-def suite_trees(edges: int) -> SuiteResult:
-    """Tree bijection and counting checks: round trips and active depth
-    for every nonnegative path through length 16, rotation classes
-    partitioning the trees and their brute-force counts through
-    min(edges, 8) edges, and closed-form counts against known values."""
-    res = SuiteResult("trees")
-
+@cache
+def _psi_round_trip_failures() -> tuple[str, ...]:
+    """The nonnegative paths through length 16 whose psi image has the wrong
+    active depth or does not map back; run once per process."""
     bad = []
     paths = [((), 0)]  # the nonnegative paths of length m, with their end heights
     for m in range(17):
@@ -175,6 +173,16 @@ def suite_trees(edges: int) -> SuiteResult:
                 bad.append(f"depth of {lattice.format_path(p)}")
             elif trees.psi_inv(t, depth) != p:
                 bad.append(f"round trip of {lattice.format_path(p)}")
+    return tuple(bad)
+
+
+def suite_trees(edges: int) -> SuiteResult:
+    """Tree bijection and counting checks: round trips and active depth
+    for every nonnegative path through length 16, rotation classes
+    partitioning the trees and their brute-force counts through
+    min(edges, 8) edges, and closed-form counts against known values."""
+    res = SuiteResult("trees")
+    bad = _psi_round_trip_failures()
     res.add("psi round trip through length 16", not bad, "; ".join(bad[:3]))
 
     for n in range(1, min(edges, 8) + 1):

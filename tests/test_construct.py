@@ -109,6 +109,15 @@ def test_build_validates_sequence():
         build(((0,),))
 
 
+def test_build_refuses_entries_other_than_0_and_1():
+    # an entry of 2 or True would come out of spectrum_json as an alpha
+    # that parse_sequence refuses
+    for bad in (((), (2,), (0, 3)), ((), (0,), (1, -1)), ((), (True,)), ((), (1.0,))):
+        with pytest.raises(ValueError, match=r"^alpha vector \d has entries .*, expected 0 or 1$"):
+            build(bad)
+    assert build(((), (0,), (1, 0))).alphas == ((), (0,), (1, 0))
+
+
 def test_k_cap_equivalence():
     # pruning the families above the target level changes no cycle
     for n in range(1, 5):
@@ -218,7 +227,8 @@ def test_alpha_tables_match_f_alpha():
 
 
 def test_image_tables_match_f_alpha():
-    # two lookups per image vertex stand in for f_alpha | hi in every block
+    # two lookups per image vertex stand in for f_alpha | hi in every
+    # reversed image of a family
     def check(n, alpha, vs):
         for hi in (0, 1 << (2 * n), 3 << (2 * n)):
             h, low, up = _image_tables(alpha, hi)
@@ -473,3 +483,71 @@ def test_no_family_above_the_target_level_is_built():
                 while s is not None:
                     assert s._built and max(k for k, _ in s._built) <= n
                     s = s.parent
+
+
+# --- the per-path rule that the flat families replaced ----------------------
+
+
+def reference_block(p, q, alpha, lo, hi):
+    """Path p with the suffix bits lo, then f_alpha of path q with the suffix
+    bits hi, traversed backwards."""
+    return [v | lo for v in p] + [f_alpha(alpha, v) | hi for v in reversed(q)]
+
+
+def reference_families(state):
+    """Every family of the state as tuples of paths, built one path at a time
+    by the rule of _family: one shifted tuple per path, one block per arc."""
+    if state.parent is None:
+        return {1: ((0b01, 0b11, 0b10),)}
+    fams = reference_families(state.parent)
+    n, m = state.parent.n, 2 * state.parent.n
+    shift = lambda j, s: [tuple(v | s for v in p) for p in fams.get(j, ())]
+    out = {}
+    for k in range(n + 1, 2 * n + 2):
+        parts = shift(k, 0) + shift(k - 1, 1 << m)
+        if k == n + 1:
+            mid = fams[n]
+            parts += [
+                (p[1], *reference_block(p[1:], mid[h], state.alpha, 2 << m, 3 << m),
+                 mid[j][0] | 2 << m)
+                for p, j, h in zip(mid, state.succ, state.phat)
+            ]
+        else:
+            parts += shift(k - 1, 2 << m) + shift(k - 2, 3 << m)
+        out[k] = tuple(parts)
+    return out
+
+
+def reference_cycles(state, alpha, mid):
+    """The canonical cycles of the 2-factor, one block per path of mid."""
+    succ, phat = _successors(state, alpha)
+    hi = 1 << (2 * state.n)
+    cycles = []
+    for orbit in _orbits(succ):
+        verts = []
+        for j in orbit:
+            verts += reference_block(mid[j], mid[phat[j]], alpha, 0, hi)
+        cycles.append(canonical_cycle(verts))
+    return tuple(sorted(cycles))
+
+
+def test_flat_families_and_assembly_match_the_per_path_rule():
+    def check(state, alphas):
+        fams = reference_families(state)
+        assert state.families == fams
+        for alpha in alphas:
+            cycles = assemble_two_factor(state, alpha).cycles
+            assert cycles == reference_cycles(state, alpha, fams[state.n])
+
+    def walk(state):
+        check(state, alpha_vectors(state.n))
+        if state.n < 5:
+            for alpha in alpha_vectors(state.n):
+                walk(_advance(state, alpha))
+
+    walk(state_for_prefix(()))
+    rng = Random(17)
+    for level in range(6, 9):
+        for _ in range(4):
+            seq = random_sequence(rng, level)
+            check(state_for_prefix(seq[:-1]), seq[-1:])

@@ -10,12 +10,13 @@ import hashlib
 import os
 import re
 from itertools import islice, product
+from random import Random
 
 import pytest
 
 from midlayer.cli import main
-from midlayer.construct import build
-from midlayer.search import iter_exhaustive, iter_random
+from midlayer.construct import build, state_for_prefix
+from midlayer.search import iter_exhaustive, iter_random, random_sequence
 
 
 def digest(items) -> str:
@@ -52,6 +53,23 @@ RANDOM = {
     9: "bfd5404d1e9b6af3efedfa7b73cb87512dadedfa800ec344f81a29e9553d0774",
 }
 
+# build(s).cycles of 20 sequences drawn with random_sequence(Random(n), n),
+# computed before the full paths became one flat list per family
+CYCLES_SAMPLED = {
+    5: "775f9510f7632fa0fbb25ca5ec64af715ef11bf50e691b1769fcef2df637f21c",
+    6: "c1833045ab23603f6835504cb1c711bd2e2cff3c09a5d349464ef8269bde832b",
+    7: "f17b2cd1a471730c7605e754bdb252d9bd4da9627fc7db6220a433cc651adf06",
+    8: "11626971d2c5f0e5347c1904cb29ebadb5076f23b7c7ca0d6ae36b3e7c08748b",
+}
+
+# state_for_prefix(p).families of 5 prefixes of length level - 1 drawn with
+# random_sequence(Random(level), level - 1), computed at the same point
+FAMILIES_SAMPLED = {
+    5: "001577c4fac9fd80a11d84da464921f1218a39c5656d509c0b50670f19027fd8",
+    6: "7f75c676ce25edeae3da390c647f9c9c3a356b106feef52ff35a3969d1556501",
+    7: "b5d4f71e99031052c2bb0909add9faa825e4594a8622c5a9e02f4bce86eaea36",
+}
+
 BUILD_FULL = "0ef73d3ab2ba940930f8e67f35481e2ba59c82f4ee0afce5cc560b3bbd0a7faf"
 
 
@@ -63,6 +81,20 @@ def test_exhaustive_records():
 def test_built_cycles():
     seqs = (s for n in range(1, 5) for s in sequences(n))
     assert digest(build(s).cycles for s in seqs) == CYCLES
+
+
+def test_built_cycles_sampled():
+    for n, expected in CYCLES_SAMPLED.items():
+        rng = Random(n)
+        seqs = [random_sequence(rng, n) for _ in range(20)]
+        assert digest(build(s).cycles for s in seqs) == expected, n
+
+
+def test_state_families_sampled():
+    for level, expected in FAMILIES_SAMPLED.items():
+        rng = Random(level)
+        prefixes = [random_sequence(rng, level - 1) for _ in range(5)]
+        assert digest(state_for_prefix(p).families for p in prefixes) == expected, level
 
 
 def test_random_records():
