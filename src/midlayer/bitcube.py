@@ -116,15 +116,19 @@ def format_alpha(alpha: AlphaVector) -> str:
     return "".join(str(a) for a in alpha)
 
 
-def parse_sequence(text: str) -> ParameterSequence:
-    """Parse ",0,10" to ((), (0,), (1,0)).  The i-th field must have length i-1."""
-    alphas = tuple(parse_alpha(field) for field in text.split(","))
+def check_sequence(alphas: ParameterSequence) -> ParameterSequence:
+    """alphas, if its i-th vector has length i-1 and entries 0 or 1."""
     for i, a in enumerate(alphas, start=1):
         if len(a) != i - 1:
-            raise ValueError(
-                f"alpha vector {i} has length {len(a)}, expected {i - 1}"
-            )
+            raise ValueError(f"alpha vector {i} has length {len(a)}, expected {i - 1}")
+        if set(map(str, a)) - {"0", "1"}:  # entries format_alpha writes as 0 or 1
+            raise ValueError(f"alpha vector {i} has entries {a}, expected 0 or 1")
     return alphas
+
+
+def parse_sequence(text: str) -> ParameterSequence:
+    """Parse ",0,10" to ((), (0,), (1,0)).  The i-th field must have length i-1."""
+    return check_sequence(tuple(parse_alpha(field) for field in text.split(",")))
 
 
 def format_sequence(alphas: ParameterSequence) -> str:

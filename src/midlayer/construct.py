@@ -53,7 +53,7 @@ from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 from . import lattice
-from .bitcube import AlphaVector, ParameterSequence, f_alpha
+from .bitcube import AlphaVector, ParameterSequence, check_sequence, f_alpha
 
 Path = tuple[int, ...]
 
@@ -427,10 +427,6 @@ def build(seq: ParameterSequence) -> TwoFactor:
     n = len(seq)
     if n < 1:
         raise ValueError("need at least one alpha vector")
-    for i, a in enumerate(seq, start=1):
-        if len(a) != i - 1:
-            raise ValueError(f"alpha vector {i} has length {len(a)}, expected {i - 1}")
-        if set(map(str, a)) - {"0", "1"}:  # entries spectrum_json writes as 0 or 1
-            raise ValueError(f"alpha vector {i} has entries {a}, expected 0 or 1")
+    check_sequence(seq)
     state = state_for_prefix(seq[:-1])
     return assemble_two_factor(state, seq[-1])

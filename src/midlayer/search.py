@@ -9,11 +9,12 @@ Sequences are totally ordered by the mixed-radix index whose most
 significant digit is the level-2 alpha and least significant the final
 one; checkpoints and resume are expressed in that index.  A parallel
 sweep gives each worker task the subtree below one level-(n-1) state, so
-the task layout depends only on n and the start index.  Each worker
-answers its tasks in order on a pipe of its own, which the parent reads
-in task order in its main thread: no pool, no handler threads.  A
-worker's exception is raised in the parent, and a worker that dies
-raises ChildProcessError instead of leaving the sweep waiting.
+the task layout depends only on n and the start index.  Each worker owns
+every workers-th task and answers them in order on a pipe of its own,
+which the parent reads in task order in its main thread, sending back a
+one-byte credit per consumed answer: no pool, no threads.  A worker's
+exception is raised in the parent, a worker that dies raises
+ChildProcessError, and the workers of a parent that dies exit.
 
 Random and targeted modes sample alpha vectors uniformly per level from a
 seeded generator; targeted mode logs only the sequences with the desired
@@ -179,33 +180,20 @@ def _answer(task) -> bytes:
         return pickle.dumps(exc)
 
 
-def _serve(conn) -> None:
-    """A sweep worker: answer each task received on conn until the parent
-    closes it.
-
-    The answers are written by a thread of their own, so an answer the
-    parent has not read yet never holds up the next task.
-    """
-    import queue
-    import threading
-
-    # Without the writer thread, the 2-worker n=6 sweep (table1-n6-w2, 2
-    # CPUs) read 144k sequences/s against 152k with it, medians of 3
-    # alternating runs; and two n=7 answers (170-180 KB each) overflow the
-    # 212,992-byte socket buffer while the parent reads another pipe.
-    answers: queue.SimpleQueue = queue.SimpleQueue()
-
-    def write() -> None:
-        while True:
-            conn.send_bytes(answers.get())
-
-    threading.Thread(target=write, daemon=True).start()
-    while True:
-        try:
-            task = conn.recv()
-        except EOFError:
-            return
-        answers.put(_answer(task))
+def _serve(conn, tasks, parent_ends) -> None:
+    """A sweep worker: answer tasks in order on conn, each after the first
+    two once the parent sends a credit.  It closes the parent's ends it
+    inherited, so it reads EOF or a broken pipe, and exits quietly, when
+    the parent dies."""
+    for end in parent_ends:
+        end.close()
+    try:
+        for k, task in enumerate(tasks):
+            if k >= 2:
+                conn.recv_bytes()
+            conn.send_bytes(_answer(task))
+    except (EOFError, ConnectionError):
+        return
 
 
 def _sweep_tasks(n: int, start: int = 0) -> list[tuple]:
@@ -228,19 +216,21 @@ def iter_exhaustive_parallel(
 
     Each task is the subtree below one level-(n-1) state, whatever the
     number of workers, so a task's records and a worker's memory stay
-    small.  Task i goes to worker i mod workers, which answers in order
-    on its own pipe, so task i's answer is that pipe's next message: the
-    parent reads the pipes in task order and yields records in index order.
-    Task i + 2 * workers is sent only after task i's records are all
-    consumed, so at most 2 * workers tasks are sent and not yet consumed,
-    and a slow consumer holds at most that many finished subtrees.  A
-    task's exception is raised here when its records are due; a worker
-    that exits early raises ChildProcessError.
+    small.  Worker w owns tasks w, w + workers, ... and answers them in
+    order on its own pipe, so the parent reads the pipes in task order and
+    yields records in index order.  Once task i's records are consumed,
+    worker i mod workers gets a credit to start task i + 2 * workers, so
+    at most 2 * workers tasks are started and not yet consumed, and a slow
+    consumer holds at most that many finished subtrees.  A sweep starts no
+    more workers than it has tasks, and runs serially with one.  A task's
+    exception is raised here when its records are due; a worker that
+    exits early raises ChildProcessError.
     """
+    tasks = _sweep_tasks(n, start)
+    workers = min(workers, len(tasks))
     if workers <= 1:
         yield from iter_exhaustive(n, start=start)
         return
-    tasks = _sweep_tasks(n, start)
     conns, procs = [], []
 
     def lost(w: int) -> ChildProcessError:
@@ -249,26 +239,20 @@ def iter_exhaustive_parallel(
             f"sweep worker {procs[w].pid} exited with code {procs[w].exitcode}"
         )
 
-    def send(i: int) -> None:
-        try:
-            conns[i % workers].send(tasks[i])
-        except ConnectionError:
-            raise lost(i % workers) from None
-
     try:
-        for _ in range(workers):
+        for w in range(workers):
             conn, child = multiprocessing.Pipe()
             conns.append(conn)
             try:
-                proc = multiprocessing.Process(target=_serve, args=(child,), daemon=True)
+                proc = multiprocessing.Process(
+                    target=_serve, args=(child, tasks[w::workers], conns), daemon=True
+                )
                 proc.start()
             finally:
                 # only the worker holds its end, so the parent reads EOF
                 # once the worker exits
                 child.close()
             procs.append(proc)
-        for i in range(min(2 * workers, len(tasks))):
-            send(i)
         for i in range(len(tasks)):
             w = i % workers
             try:
@@ -280,7 +264,10 @@ def iter_exhaustive_parallel(
             yield from answer
             del answer  # not held while the next recv blocks
             if i + 2 * workers < len(tasks):
-                send(i + 2 * workers)
+                try:
+                    conns[w].send_bytes(b"\0")
+                except ConnectionError:
+                    raise lost(w) from None
     finally:
         for proc in procs:
             proc.terminate()

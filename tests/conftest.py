@@ -1,3 +1,4 @@
+import multiprocessing
 import signal
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 @pytest.fixture(autouse=True)
 def _deadline(request):
     # a test that starts sweep workers is marked, so a sweep that hangs
-    # fails its test instead of blocking the test run
+    # fails its test instead of blocking the test run, and a sweep that
+    # leaves a worker running fails its test too
     marker = request.node.get_closest_marker("deadline")
     if marker is None:
         yield
@@ -23,3 +25,8 @@ def _deadline(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join()
+    assert left == [], f"child processes left running: {left}"

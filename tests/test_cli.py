@@ -269,7 +269,8 @@ def test_internal_errors_exit_3_from_every_command(monkeypatch, capsys):
 
     monkeypatch.setattr("midlayer.search.os.cpu_count", lambda: 2)
     monkeypatch.setattr("midlayer.search.multiprocessing.Process", no_worker)
-    assert main(["table1", "--n", "3", "--workers", "2"]) == 4
+    # n=4 is the first level whose sweep has two tasks, so it starts workers
+    assert main(["table1", "--n", "4", "--workers", "2"]) == 4
     assert "i/o error: injected" in capsys.readouterr().err
 
 

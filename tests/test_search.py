@@ -1,6 +1,9 @@
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
 from functools import partial
 from types import SimpleNamespace
@@ -60,6 +63,25 @@ def test_parallel_stream_equals_serial():
         for start in (0, 1, 300, 1023):
             got = list(iter_exhaustive_parallel(5, workers, start=start))
             assert got == serial[start:]
+
+
+@pytest.mark.deadline(20)
+def test_parallel_sweep_starts_no_worker_without_a_task(monkeypatch):
+    # n=3 has one task, and start=32 leaves n=4 one and start=64 none:
+    # each sweep runs serially
+    started, real_process = [], multiprocessing.Process
+
+    def counting_process(*args, **kwargs):
+        started.append(kwargs["target"])
+        return real_process(*args, **kwargs)
+
+    monkeypatch.setattr(search.multiprocessing, "Process", counting_process)
+    assert list(iter_exhaustive_parallel(3, 2)) == list(iter_exhaustive(3))
+    for start in (32, 64):
+        assert list(iter_exhaustive_parallel(4, 2, start=start)) == list(
+            iter_exhaustive(4, start=start)
+        )
+    assert started == []
 
 
 def test_random_stream_is_seed_deterministic():
@@ -279,6 +301,40 @@ def test_worker_construction_error_exits_3(monkeypatch, capsys):
     assert "internal error: injected in process" in err
     assert f"injected in process {os.getpid()}" not in err
     assert multiprocessing.active_children() == []
+
+
+ORPHANING_PARENT = """
+import multiprocessing, os, time
+from midlayer.search import iter_exhaustive_parallel
+
+stream = iter_exhaustive_parallel(7, 2)
+next(stream)
+time.sleep(1.5)
+print(*(proc.pid for proc in multiprocessing.active_children()), flush=True)
+os._exit(0)
+"""
+
+
+@pytest.mark.deadline(30)
+def test_sweep_workers_exit_when_the_parent_dies():
+    # the parent exits without cleanup after one record, when one worker
+    # waits for a credit and the other is blocked sending its second n=7
+    # answer; run returns once every worker has closed the stderr it
+    # inherited, and a worker that sees its pipe close prints nothing
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", ORPHANING_PARENT], capture_output=True, timeout=20
+        )
+    except subprocess.TimeoutExpired as exc:
+        for pid in (exc.stdout or b"").split():
+            try:
+                os.kill(int(pid), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        raise
+    assert done.returncode == 0
+    assert len(done.stdout.split()) == 2
+    assert done.stderr == b""
 
 
 def _dying_sweep(task):
