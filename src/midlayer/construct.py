@@ -24,9 +24,14 @@ fixed lattice-path classes, kept once per (level, k) in the order a level
 step builds them (_frame).  The first and last vertices of a level-n
 middle family are the Dyck and the D_MINUS words of length 2n, each set
 mapped onto itself by f_alpha, so both sides of the permutation are
-per-(n, alpha) tables read from the same image tables: one over the
-family's own positions, one over the ranks of the sorted D_MINUS words, in
-whose order each state keeps its path indices.
+per-(n, alpha) rank tables: one over the family's own positions, one over
+the ranks of the sorted D_MINUS words, in whose order each state keeps its
+path indices.  Only the all-zero and the all-one alpha read theirs from
+the image tables.  f_alpha is pi_alpha, a product of commuting pair swaps
+that each map both word sets onto themselves, followed by reverse and
+complement, so every other alpha gathers the tables of the nearer of the
+two once per differing entry, through a per-level table of pair-swap
+ranks (_swap_tables).
 
 A state is its level step: the parent state, the alpha and the two
 permutations of the parent's middle family.  Its families, as last
@@ -159,26 +164,68 @@ def _level_tables(n: int) -> tuple[tuple[dict[int, int], list[int]], ...]:
 
 
 @cache
+def _swap_tables(n: int) -> tuple[tuple[array, ...], ...]:
+    """Per level n, for the words of _level_tables (the frame's Dyck words,
+    then the sorted D_MINUS words): for each alpha index i, the rank of each
+    word with pair i+1 swapped, pi_alpha of the unit vector e_i: the
+    arithmetic of bitcube._swap_pairs inlined, with m the pair's low bit.
+    Each swap maps both word sets onto themselves, so each table is a
+    permutation of the ranks; 16 bits hold the ranks of every level up to
+    11."""
+    out = []
+    for rank, words in _level_tables(n):
+        code = "H" if len(words) <= 1 << 16 else "I"
+        try:
+            out.append(tuple(
+                array(code, [rank[x ^ ((x >> 1 ^ x) & m) * 3] for x in words])
+                for m in (2 << 2 * i for i in range(n - 1))
+            ))
+        except KeyError as exc:
+            raise ConstructionError(
+                f"pair-swap image {exc.args[0]} is not a family endpoint"
+            ) from exc
+    return tuple(out)
+
+
+@cache
 def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], ...]:
     """Per (n, alpha): fb[j], the middle-family path that starts at f_alpha
     of the first vertex of path j, and lb[r], the rank of the inverse of
-    f_alpha on the r-th D_MINUS word.  That inverse is
-    f_alpha(alpha[::-1], .), and both maps are read from _image_tables."""
+    f_alpha on the r-th D_MINUS word.  That inverse is f_alpha(alpha[::-1], .).
+
+    Only the all-zero and the all-one alpha are read from _image_tables.
+    f_alpha is pi_alpha followed by reverse-and-complement, and pi_alpha a
+    product of commuting pair swaps pi_i (_swap_tables), so f_alpha of
+    alpha xor e_i is f_alpha after pi_i.  Any other alpha starts from the
+    tables of the nearer of the two and, per entry i in which it differs,
+    gathers fb through pi_i and lb through pi_(n-2-i), entry i of
+    alpha[::-1].  Entries count by truth value, as in bitcube.pair_mask.
+    """
     if len(alpha) != n - 1:
         raise ConstructionError(
             f"alpha has length {len(alpha)}, expected {n - 1}"
         )
-    mask = (1 << n) - 1
-    images = (_image_tables(alpha, 0), _image_tables(alpha[::-1], 0))
-    try:
-        return tuple(
-            [rank[low[x & mask] ^ up[x >> n]] for x in words]
-            for (rank, words), (_, low, up) in zip(_level_tables(n), images)
-        )
-    except KeyError as exc:
-        raise ConstructionError(
-            f"f_alpha image {exc.args[0]} is not a family endpoint"
-        ) from exc
+    ones = sum(map(bool, alpha))
+    if ones in (0, n - 1):
+        mask = (1 << n) - 1
+        images = (_image_tables(alpha, 0), _image_tables(alpha[::-1], 0))
+        try:
+            return tuple(
+                [rank[low[x & mask] ^ up[x >> n]] for x in words]
+                for (rank, words), (_, low, up) in zip(_level_tables(n), images)
+            )
+        except KeyError as exc:
+            raise ConstructionError(
+                f"f_alpha image {exc.args[0]} is not a family endpoint"
+            ) from exc
+    base = 2 * ones > n - 1
+    fb, lb = _alpha_tables(n, (int(base),) * (n - 1))
+    dyck, dminus = _swap_tables(n)
+    for i, a in enumerate(alpha):
+        if bool(a) != base:
+            fb = [fb[p] for p in dyck[i]]
+            lb = [lb[p] for p in dminus[n - 2 - i]]
+    return fb, lb
 
 
 def _successors(

@@ -1,3 +1,4 @@
+import sys
 from array import array
 from itertools import product
 from random import Random
@@ -207,9 +208,12 @@ def test_full_paths_end_at_their_triples():
         assert [(p[0], p[1], p[-1]) for p in fam] == list(zip(firsts, seconds, lasts))
 
 
+@pytest.mark.deadline(60)
 def test_alpha_tables_match_f_alpha():
     # fb finds the middle path that starts at f_alpha of each first vertex,
-    # lb ranks the inverse of f_alpha on each D_MINUS word
+    # lb ranks the inverse of f_alpha on each D_MINUS word; only the
+    # all-zero and the all-one alpha are filled from f_alpha's image
+    # tables, every other alpha is composed from them by pair swaps
     def check(n, alpha):
         dyck = construct._frame(n, n)[0]
         lasts = sorted(lattice.dminus_bitstrings(2 * n))
@@ -217,9 +221,19 @@ def test_alpha_tables_match_f_alpha():
         assert [dyck[j] for j in fb] == [f_alpha(alpha, x) for x in dyck]
         assert [lasts[r] for r in lb] == [f_alpha(alpha[::-1], x) for x in lasts]
 
-    for n in range(1, 7):
+    for n in range(1, 8):
         for alpha in product((0, 1), repeat=n - 1):
             check(n, alpha)
+    for n in range(8, 11):
+        for bit in (0, 1):
+            base = (bit,) * (n - 1)
+            check(n, base)
+            for i in range(n - 1):
+                check(n, base[:i] + (1 - bit,) + base[i + 1 :])
+    # entries count by truth value, as pi_alpha reads them, whether the
+    # tables are composed from the all-zero or the all-one alpha or filled
+    for alpha in ((2, 0, True, 0), (2, 1, True, 0), (2, 2, True, 1)):
+        assert _alpha_tables(5, alpha) == _alpha_tables(5, tuple(map(bool, alpha)))
     rng = Random(6)
     for n in range(7, 11):
         for _ in range(3):
@@ -336,6 +350,50 @@ def test_image_off_the_endpoints_is_a_construction_error(monkeypatch):
             leaf_spectra(state_for_prefix(((), (1,))), alpha_vectors(3))
     finally:
         _alpha_tables.cache_clear()
+
+
+@pytest.mark.deadline(20)
+def test_pair_swap_off_the_endpoints_is_a_construction_error(monkeypatch):
+    # an alpha other than all-zero and all-one has its tables gathered
+    # through the pair-swap tables, so a rank lookup that misses a swapped
+    # word must be refused, not read as a rank
+    state = state_for_prefix(((), (1,)))
+    state._by_last  # the middle family's D_MINUS ranks, read unspoiled
+    real = construct._level_tables
+
+    def spoiled(n):
+        (rank, words), lasts = real(n)
+        rank = dict(rank)
+        del rank[words[0]]  # each swap table looks up every Dyck word
+        return (rank, words), lasts
+
+    _alpha_tables.cache_clear()
+    construct._swap_tables.cache_clear()
+    try:
+        _alpha_tables(3, (0, 0))
+        _alpha_tables(3, (1, 1))
+        monkeypatch.setattr(construct, "_level_tables", spoiled)
+        match = "pair-swap image .* not a family endpoint"
+        with pytest.raises(ConstructionError, match=match):
+            cycle_spectrum(state, (0, 1))
+        with pytest.raises(ConstructionError, match=match):
+            leaf_spectra(state, alpha_vectors(3))
+        with pytest.raises(ConstructionError, match=match):
+            _advance(state, (1, 0))
+    finally:
+        _alpha_tables.cache_clear()
+        construct._swap_tables.cache_clear()
+
+
+@pytest.mark.deadline(20)
+def test_swap_tables_of_one_level_are_bounded_in_bytes():
+    # every level a process reaches keeps its pair-swap tables, 2 bytes per
+    # entry: at n=9 one table per alpha index and word set, C_9 = 4862 each
+    tables = construct._swap_tables(9)
+    arrays = [t for side in tables for t in side]
+    assert len(arrays) == 2 * 8 and {len(t) for t in arrays} == {4862}
+    size = sum(map(sys.getsizeof, [tables, *tables, *arrays]))
+    assert size <= 2 * 8 * 4862 * 2 + 128 * (3 + len(arrays))
 
 
 def test_wrong_first_vertex_is_a_construction_error(monkeypatch):
