@@ -117,7 +117,8 @@ def format_alpha(alpha: AlphaVector) -> str:
 
 
 def check_sequence(alphas: ParameterSequence) -> ParameterSequence:
-    """alphas, if its i-th vector has length i-1 and entries 0 or 1."""
+    """alphas as tuples, if its i-th vector has length i-1 and entries 0 or 1."""
+    alphas = tuple(map(tuple, alphas))
     for i, a in enumerate(alphas, start=1):
         if len(a) != i - 1:
             raise ValueError(f"alpha vector {i} has length {len(a)}, expected {i - 1}")

@@ -26,12 +26,13 @@ middle family are the Dyck and the D_MINUS words of length 2n, each set
 mapped onto itself by f_alpha, so both sides of the permutation are
 per-(n, alpha) rank tables: one over the family's own positions, one over
 the ranks of the sorted D_MINUS words, in whose order each state keeps its
-path indices.  Only the all-zero and the all-one alpha read theirs from
-the image tables.  f_alpha is pi_alpha, a product of commuting pair swaps
+path indices.  f_alpha is pi_alpha, a product of commuting pair swaps
 that each map both word sets onto themselves, followed by reverse and
-complement, so every other alpha gathers the tables of the nearer of the
-two once per differing entry, through a per-level table of pair-swap
-ranks (_swap_tables).
+complement.  So one cached record per level (_level_tables) holds, per
+word set, the ranks, the pair-swap ranks and the tables of the all-zero
+and the all-one alpha, read from the image tables; every alpha takes the
+tables of the nearer of those two and gathers them once per differing
+entry through the pair-swap ranks.
 
 A state is its level step: the parent state, the alpha and the two
 permutations of the parent's middle family.  Its families, as last
@@ -112,7 +113,7 @@ class ConstructionState:
         """Path i of the middle family ends at the _inv_by_last[i]-th D_MINUS
         word of length 2n, checked to be a permutation: the family ends at
         exactly those words."""
-        _, (rank, _) = _level_tables(self.n)
+        rank = _level_tables(self.n)[1][0]
         try:
             inv = list(map(rank.__getitem__, _family(self, self.n, False)))
             ok = len(inv) == len(set(inv)) == len(rank)
@@ -148,42 +149,45 @@ class TwoFactor:
 
 
 @cache
-def _level_tables(n: int) -> tuple[tuple[dict[int, int], list[int]], ...]:
-    """Per level n, for the first vertices of a middle family (the frame's,
-    checked to be the Dyck words of length 2n) and then the sorted D_MINUS
-    words (its last vertices): the position of each word, and the words."""
+def _level_tables(n: int) -> tuple[tuple, tuple]:
+    """The record of level n, per endpoint word set of a middle family:
+    its first vertices (the frame's, checked to be the Dyck words of
+    length 2n), then the sorted D_MINUS words (its last vertices).  Each
+    entry is (rank, words, swaps, bases): the position of each word; the
+    words; per alpha index i, the rank of each word with pair i+1 swapped
+    (bitcube._swap_pairs inlined, m the pair's low bit), a permutation of
+    the ranks, 16 bits through level 11; and the rank of the f_alpha image
+    of each word for the all-zero and the all-one alpha.  A constant alpha
+    is its own reverse, so one image pair serves both word sets."""
     dyck = lattice.dyck_bitstrings(2 * n)
-    word = dict(zip(dyck, dyck))  # the cached word objects, not new ints
-    firsts = [word.get(x) for x in _frame(n, n)[0]]
+    # the cached word objects, not new ints
+    firsts = list(map(dict(zip(dyck, dyck)).get, _frame(n, n)[0]))
     if len(firsts) != len(dyck) or set(firsts) != dyck:
         raise ConstructionError(
             f"middle family at level {n} does not start at the Dyck words"
         )
-    words = (firsts, sorted(lattice.dminus_bitstrings(2 * n)))
-    return tuple(({x: r for r, x in enumerate(w)}, w) for w in words)
-
-
-@cache
-def _swap_tables(n: int) -> tuple[tuple[array, ...], ...]:
-    """Per level n, for the words of _level_tables (the frame's Dyck words,
-    then the sorted D_MINUS words): for each alpha index i, the rank of each
-    word with pair i+1 swapped, pi_alpha of the unit vector e_i: the
-    arithmetic of bitcube._swap_pairs inlined, with m the pair's low bit.
-    Each swap maps both word sets onto themselves, so each table is a
-    permutation of the ranks; 16 bits hold the ranks of every level up to
-    11."""
+    mask = (1 << n) - 1
+    images = [_image_tables((bit,) * (n - 1), 0) for bit in (0, 1)]
     out = []
-    for rank, words in _level_tables(n):
+    for words in (firsts, sorted(lattice.dminus_bitstrings(2 * n))):
+        rank = {x: r for r, x in enumerate(words)}
         code = "H" if len(words) <= 1 << 16 else "I"
+        image = "pair-swap"
         try:
-            out.append(tuple(
+            swaps = tuple(
                 array(code, [rank[x ^ ((x >> 1 ^ x) & m) * 3] for x in words])
                 for m in (2 << 2 * i for i in range(n - 1))
-            ))
+            )
+            image = "f_alpha"
+            bases = tuple(
+                [rank[low[x & mask] ^ up[x >> n]] for x in words]
+                for _, low, up in images
+            )
         except KeyError as exc:
             raise ConstructionError(
-                f"pair-swap image {exc.args[0]} is not a family endpoint"
+                f"{image} image {exc.args[0]} is not a family endpoint"
             ) from exc
+        out.append((rank, words, swaps, bases))
     return tuple(out)
 
 
@@ -193,11 +197,9 @@ def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], ...]:
     of the first vertex of path j, and lb[r], the rank of the inverse of
     f_alpha on the r-th D_MINUS word.  That inverse is f_alpha(alpha[::-1], .).
 
-    Only the all-zero and the all-one alpha are read from _image_tables.
-    f_alpha is pi_alpha followed by reverse-and-complement, and pi_alpha a
-    product of commuting pair swaps pi_i (_swap_tables), so f_alpha of
-    alpha xor e_i is f_alpha after pi_i.  Any other alpha starts from the
-    tables of the nearer of the two and, per entry i in which it differs,
+    f_alpha of alpha xor e_i is f_alpha after the pair swap pi_i, so every
+    alpha starts from the level record's tables of the nearer of the
+    all-zero and the all-one alpha and, per entry i in which it differs,
     gathers fb through pi_i and lb through pi_(n-2-i), entry i of
     alpha[::-1].  Entries count by truth value, as in bitcube.pair_mask.
     """
@@ -205,22 +207,9 @@ def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], ...]:
         raise ConstructionError(
             f"alpha has length {len(alpha)}, expected {n - 1}"
         )
-    ones = sum(map(bool, alpha))
-    if ones in (0, n - 1):
-        mask = (1 << n) - 1
-        images = (_image_tables(alpha, 0), _image_tables(alpha[::-1], 0))
-        try:
-            return tuple(
-                [rank[low[x & mask] ^ up[x >> n]] for x in words]
-                for (rank, words), (_, low, up) in zip(_level_tables(n), images)
-            )
-        except KeyError as exc:
-            raise ConstructionError(
-                f"f_alpha image {exc.args[0]} is not a family endpoint"
-            ) from exc
-    base = 2 * ones > n - 1
-    fb, lb = _alpha_tables(n, (int(base),) * (n - 1))
-    dyck, dminus = _swap_tables(n)
+    base = 2 * sum(map(bool, alpha)) > n - 1
+    (_, _, dyck, fbases), (_, _, dminus, lbases) = _level_tables(n)
+    fb, lb = fbases[base], lbases[base]
     for i, a in enumerate(alpha):
         if bool(a) != base:
             fb = [fb[p] for p in dyck[i]]
@@ -380,6 +369,18 @@ def _advance(state: ConstructionState, alpha: AlphaVector) -> ConstructionState:
 
 
 @cache
+def _copies(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """(j, shift) for each nonempty level-n family j that family k of level
+    n+1 copies, in order: k, k-1 in the 10-copy, and, unless k = n+1, k-1
+    in the 01-copy and k-2 in the 11-copy."""
+    m = 2 * n
+    copies = [(k, 0), (k - 1, 1 << m)]
+    if k != n + 1:
+        copies += [(k - 1, 2 << m), (k - 2, 3 << m)]
+    return tuple((j, s) for j, s in copies if n <= j < m)
+
+
+@cache
 def _frame(n: int, k: int) -> tuple[array, array]:
     """The alpha-free part of family k of level n: the first and second
     vertex of each path, in the order of _family's level step.  By
@@ -389,18 +390,15 @@ def _frame(n: int, k: int) -> tuple[array, array]:
     """
     if n == 1:  # the single path 10 -> 11 -> 01, which no level step made
         return array("I", [0b01]), array("I", [0b11])
-    p, m = n - 1, 2 * (n - 1)
-    copies = [(k, 0), (k - 1, 1 << m)]
-    if k != n:
-        copies += [(k - 1, 2 << m), (k - 2, 3 << m)]
+    p = n - 1
     firsts, seconds = (
-        array("I", [x | s for j, s in copies if p <= j < m for x in _frame(p, j)[e]])
+        array("I", [x | s for j, s in _copies(p, k) for x in _frame(p, j)[e]])
         for e in (0, 1)
     )
     if k == n:  # the arcs that replace the middle family of level p
         mid = _frame(p, p)[1]
         firsts.extend(mid)
-        seconds.extend([x | 2 << m for x in mid])
+        seconds.extend([x | 2 << 2 * p for x in mid])
     return firsts, seconds
 
 
@@ -409,14 +407,13 @@ def _family(state: ConstructionState, k: int, full: bool) -> tuple:
     (flat, ends): the vertices of all paths in one list, path i ending
     before ends[i].  Built on first read and kept in the state.
 
-    Family k of level n+1 is family k of level n, family k-1 shifted into
-    the 10-copy, and either the arcs that replace the middle family
-    (k = n+1) or family k-1 in the 01-copy and family k-2 in the 11-copy,
-    concatenated in that order.  Each deleted first edge of the 2-factor
-    leaves an arc from the old second vertex to the next first vertex: the
-    arc that replaces path i is p[1], then p[1:] with the suffix 01, then
-    the reversed f_alpha image of path phat[i] with the suffix 11, then the
-    first vertex of path succ[i] with the suffix 01: four slices.
+    Family k of level n+1 is the level-n families of _copies, then, at
+    k = n+1, the arcs that replace the middle family.  Each deleted first
+    edge of the 2-factor leaves an arc from the old second vertex to the
+    next first vertex: the arc that replaces path i is p[1], then p[1:]
+    with the suffix 01, then the reversed f_alpha image of path phat[i]
+    with the suffix 11, then the first vertex of path succ[i] with the
+    suffix 01: four slices.
     """
     fam = state._built.get((k, full))
     if fam is not None:
@@ -427,17 +424,13 @@ def _family(state: ConstructionState, k: int, full: bool) -> tuple:
     else:
         flat, ends = [], []
         n, m = parent.n, 2 * parent.n
-        copies = [(k, 0), (k - 1, 1 << m)]
-        if k != n + 1:
-            copies += [(k - 1, 2 << m), (k - 2, 3 << m)]
-        for j, s in copies:
-            if n <= j < m:
-                part = _family(parent, j, full)
-                if full:
-                    part, part_ends = part
-                    size = len(flat)
-                    ends += [e + size for e in part_ends]
-                flat += [v | s for v in part] if s else part
+        for j, s in _copies(n, k):
+            part = _family(parent, j, full)
+            if full:
+                part, part_ends = part
+                size = len(flat)
+                ends += [e + size for e in part_ends]
+            flat += [v | s for v in part] if s else part
         if k == n + 1 and not full:
             firsts = _level_tables(n)[0][1]
             flat += [firsts[j] | 2 << m for j in state.succ]
@@ -471,9 +464,8 @@ def state_for_prefix(
 
 def build(seq: ParameterSequence) -> TwoFactor:
     """The 2-factor of the middle layer of the (2n+1)-cube, n = len(seq)."""
-    n = len(seq)
-    if n < 1:
+    seq = check_sequence(seq)
+    if not seq:
         raise ValueError("need at least one alpha vector")
-    check_sequence(seq)
     state = state_for_prefix(seq[:-1])
     return assemble_two_factor(state, seq[-1])

@@ -51,11 +51,11 @@ from .construct import (
 EXHAUSTIVE_BOUND = 7
 
 # Largest level a random or targeted search accepts.  Memory grows about
-# 3x per level: the first three sequences take 62 MB at n=11 and 193 MB
-# at n=12, with the pair-swap tables that construct builds once per level,
-# 2(n-1) C_n entries (2.4 MB and about 0.3 s at n=11), and a long run
-# reaches the alpha tables of all 2^(n-1) final alphas, 16 bytes per path
-# each: about 1 GB at n=11 and 7 GB at n=12.
+# 3x per level: the first three sequences take 62 MB at n=11 and 196 MB
+# at n=12, with the record that construct keeps once per level, 2(n-1) C_n
+# pair-swap ranks and 4 C_n base ranks (4.3 MB and about 0.4 s at n=11),
+# and a long run reaches the alpha tables of all 2^(n-1) final alphas,
+# 16 bytes per path each: about 1 GB at n=11 and 7 GB at n=12.
 SAMPLED_BOUND = 11
 
 

@@ -3,9 +3,11 @@
 Each suite runs a bundle of related invariant checks, sized by the level
 alone (the sampled suites also take their sample count), and returns a
 SuiteResult listing every check with its outcome.
-The suites only use public predicates and the brute-force oracles, so a
+The suites use public predicates and the brute-force oracles, so a
 passing run is an end-to-end cross-check of the construction engine
-rather than a tautology.
+rather than a tautology.  One exception: the paths suite reads first and
+second vertices from construct._frame and last vertices from
+construct._family (_fsl_sets), as the level step reads them.
 """
 
 from __future__ import annotations

@@ -30,3 +30,18 @@ def _deadline(request):
         proc.terminate()
         proc.join()
     assert left == [], f"child processes left running: {left}"
+
+
+@pytest.fixture
+def fresh_tables():
+    # a test that spoils what the construction's per-level and per-alpha
+    # tables are built from starts and ends with both caches empty, so no
+    # cached table hides its refusal and no spoiled table outlives it
+    from midlayer import construct
+
+    tables = (construct._level_tables, construct._alpha_tables)
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()

@@ -119,6 +119,13 @@ def test_build_refuses_entries_other_than_0_and_1():
     assert build(((), (0,), (1, 0))).alphas == ((), (0,), (1, 0))
 
 
+def test_build_takes_lists_for_tuples():
+    # the alpha tables are cached per alpha, so a sequence of lists is
+    # read as the tuples check_sequence returns, not refused as unhashable
+    assert build([[], [0], [1, 0]]) == build(((), (0,), (1, 0)))
+    assert build(((), [0])) == build(((), (0,)))
+
+
 def test_k_cap_equivalence():
     # pruning the families above the target level changes no cycle
     for n in range(1, 5):
@@ -332,9 +339,10 @@ def test_wrong_last_vertex_is_a_construction_error():
         _advance(spoiled(), (1, 0))
 
 
-def test_image_off_the_endpoints_is_a_construction_error(monkeypatch):
+def test_image_off_the_endpoints_is_a_construction_error(monkeypatch, fresh_tables):
     # the rank tables hold only Dyck and D_MINUS words, so an image table
     # with one low bit flipped must be refused, not read as a rank
+    state = state_for_prefix(((), (1,)))  # levels 1 and 2 read unspoiled
     real = construct._image_tables
 
     def spoiled(alpha, hi):
@@ -342,61 +350,55 @@ def test_image_off_the_endpoints_is_a_construction_error(monkeypatch):
         return h, [x ^ 1 for x in low], up
 
     monkeypatch.setattr(construct, "_image_tables", spoiled)
-    _alpha_tables.cache_clear()
-    try:
-        with pytest.raises(ConstructionError, match="not a family endpoint"):
-            cycle_spectrum(state_for_prefix(((), (1,))), (0, 1))
-        with pytest.raises(ConstructionError, match="not a family endpoint"):
-            leaf_spectra(state_for_prefix(((), (1,))), alpha_vectors(3))
-    finally:
-        _alpha_tables.cache_clear()
+    match = "f_alpha image .* not a family endpoint"
+    with pytest.raises(ConstructionError, match=match):
+        cycle_spectrum(state, (0, 1))
+    with pytest.raises(ConstructionError, match=match):
+        leaf_spectra(state, alpha_vectors(3))
+    with pytest.raises(ConstructionError, match=match):
+        _advance(state, (1, 0))
 
 
 @pytest.mark.deadline(20)
-def test_pair_swap_off_the_endpoints_is_a_construction_error(monkeypatch):
-    # an alpha other than all-zero and all-one has its tables gathered
-    # through the pair-swap tables, so a rank lookup that misses a swapped
-    # word must be refused, not read as a rank
-    state = state_for_prefix(((), (1,)))
-    state._by_last  # the middle family's D_MINUS ranks, read unspoiled
-    real = construct._level_tables
+def test_pair_swap_off_the_endpoints_is_a_construction_error(monkeypatch, fresh_tables):
+    # every alpha gathers its tables through the pair-swap ranks of its
+    # level, so a swapped word that misses the rank table must be refused,
+    # not read as a rank: here the D_MINUS words of length 6 lose their
+    # smallest, which a pair swap reaches
+    state = state_for_prefix(((), (1,)))  # levels 1 and 2 read unspoiled
+    real = lattice.dminus_bitstrings
 
-    def spoiled(n):
-        (rank, words), lasts = real(n)
-        rank = dict(rank)
-        del rank[words[0]]  # each swap table looks up every Dyck word
-        return (rank, words), lasts
+    def spoiled(m):
+        words = real(m)
+        return words - {min(words)} if m == 6 else words
 
-    _alpha_tables.cache_clear()
-    construct._swap_tables.cache_clear()
-    try:
-        _alpha_tables(3, (0, 0))
-        _alpha_tables(3, (1, 1))
-        monkeypatch.setattr(construct, "_level_tables", spoiled)
-        match = "pair-swap image .* not a family endpoint"
-        with pytest.raises(ConstructionError, match=match):
-            cycle_spectrum(state, (0, 1))
-        with pytest.raises(ConstructionError, match=match):
-            leaf_spectra(state, alpha_vectors(3))
-        with pytest.raises(ConstructionError, match=match):
-            _advance(state, (1, 0))
-    finally:
-        _alpha_tables.cache_clear()
-        construct._swap_tables.cache_clear()
+    monkeypatch.setattr(lattice, "dminus_bitstrings", spoiled)
+    match = "pair-swap image .* not a family endpoint"
+    with pytest.raises(ConstructionError, match=match):
+        cycle_spectrum(state, (0, 1))
+    with pytest.raises(ConstructionError, match=match):
+        leaf_spectra(state, alpha_vectors(3))
+    with pytest.raises(ConstructionError, match=match):
+        _advance(state, (1, 0))
 
 
 @pytest.mark.deadline(20)
-def test_swap_tables_of_one_level_are_bounded_in_bytes():
-    # every level a process reaches keeps its pair-swap tables, 2 bytes per
-    # entry: at n=9 one table per alpha index and word set, C_9 = 4862 each
-    tables = construct._swap_tables(9)
-    arrays = [t for side in tables for t in side]
-    assert len(arrays) == 2 * 8 and {len(t) for t in arrays} == {4862}
-    size = sum(map(sys.getsizeof, [tables, *tables, *arrays]))
-    assert size <= 2 * 8 * 4862 * 2 + 128 * (3 + len(arrays))
+def test_level_record_is_bounded_in_bytes(fresh_tables):
+    # every level a process reaches keeps its record: per word set, C_9 =
+    # 4862 entries at n=9, one 2-byte pair-swap table per alpha index and
+    # the two base tables, lists of 8-byte references to the rank ints
+    record = construct._level_tables(9)
+    arrays = [t for _, _, swaps, _ in record for t in swaps]
+    bases = [t for *_, pair in record for t in pair]
+    assert len(arrays) == 2 * 8 and len(bases) == 2 * 2
+    assert {len(t) for t in arrays + bases} == {4862}
+    tuples = [t for _, _, swaps, pair in record for t in (swaps, pair)]
+    size = sum(map(sys.getsizeof, arrays + bases + tuples))
+    # a list built by appending over-allocates by up to an eighth
+    assert size <= (2 * 8 * 2 + 4 * 8 * 9 // 8) * 4862 + 128 * (16 + 4 + 4)
 
 
-def test_wrong_first_vertex_is_a_construction_error(monkeypatch):
+def test_wrong_first_vertex_is_a_construction_error(monkeypatch, fresh_tables):
     # the alpha tables take the middle family's first vertices from the
     # frame, so a frame that does not start at the Dyck words is refused
     real = construct._frame
@@ -410,13 +412,9 @@ def test_wrong_first_vertex_is_a_construction_error(monkeypatch):
         return firsts, seconds
 
     monkeypatch.setattr(construct, "_frame", spoiled)
-    construct._level_tables.cache_clear()
-    try:
-        for n in (1, 2, 4):
-            with pytest.raises(ConstructionError, match="Dyck words"):
-                construct._level_tables(n)
-    finally:
-        construct._level_tables.cache_clear()
+    for n in (1, 2, 4):
+        with pytest.raises(ConstructionError, match="Dyck words"):
+            construct._level_tables(n)
 
 
 def test_repeated_last_vertex_is_a_construction_error():
@@ -430,7 +428,7 @@ def test_repeated_last_vertex_is_a_construction_error():
         leaf_spectra(s, alpha_vectors(3))
 
 
-def test_leaf_walk_refuses_a_wrong_alpha_or_a_non_permutation(monkeypatch):
+def test_leaf_walk_refuses_a_wrong_alpha_or_a_non_permutation(monkeypatch, fresh_tables):
     state = state_for_prefix(((), (1,), (0, 1)))
     with pytest.raises(ConstructionError, match="expected 3"):
         leaf_spectra(state, [(0, 1, 1), (0, 1)])
@@ -444,11 +442,8 @@ def test_leaf_walk_refuses_a_wrong_alpha_or_a_non_permutation(monkeypatch):
         return fb, [lb[1]] + lb[1:]
 
     monkeypatch.setattr(construct, "_alpha_tables", spoiled)
-    try:
-        with pytest.raises(ConstructionError, match="did not close"):
-            leaf_spectra(state, alpha_vectors(4))
-    finally:
-        _alpha_tables.cache_clear()
+    with pytest.raises(ConstructionError, match="did not close"):
+        leaf_spectra(state, alpha_vectors(4))
 
 
 def test_assembly_refuses_a_non_permutation(monkeypatch):
