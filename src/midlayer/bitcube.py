@@ -122,7 +122,7 @@ def check_sequence(alphas: ParameterSequence) -> ParameterSequence:
     for i, a in enumerate(alphas, start=1):
         if len(a) != i - 1:
             raise ValueError(f"alpha vector {i} has length {len(a)}, expected {i - 1}")
-        if set(map(str, a)) - {"0", "1"}:  # entries format_alpha writes as 0 or 1
+        if any(type(x) is not int or x not in (0, 1) for x in a):  # ints only, not bool or str
             raise ValueError(f"alpha vector {i} has entries {a}, expected 0 or 1")
     return alphas
 

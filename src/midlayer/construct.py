@@ -13,10 +13,11 @@ between whole stored paths suffixed with 0 and reversed f_alpha images
 suffixed with 1; assembly therefore reduces to a permutation on the
 middle family and two slices per block, of the family and of its
 reversed image, and the cycle lengths to the orbit sizes of that
-permutation.  f_alpha is a bit permutation followed by a complement, so it
-is affine over GF(2) and splits into one table per half of the word: an
-image vertex is two lookups, and f_alpha itself is called only to fill
-the tables (_image_tables).
+permutation.  One walk (_orbits) gives the orbits, by start and size, to
+assembly and to the leaf.  f_alpha is a bit permutation followed by a
+complement, so it is affine over GF(2) and splits into one table per half
+of the word: one evaluator (_images) gives every image vertex as two
+lookups, and f_alpha itself is called only to fill its tables.
 
 That permutation reads only the first and last vertex of each path, and
 only the last vertices depend on the alphas: first and second vertices are
@@ -28,11 +29,11 @@ per-(n, alpha) rank tables: one over the family's own positions, one over
 the ranks of the sorted D_MINUS words, in whose order each state keeps its
 path indices.  f_alpha is pi_alpha, a product of commuting pair swaps
 that each map both word sets onto themselves, followed by reverse and
-complement.  So one cached record per level (_level_tables) holds, per
-word set, the ranks, the pair-swap ranks and the tables of the all-zero
-and the all-one alpha, read from the image tables; every alpha takes the
-tables of the nearer of those two and gathers them once per differing
-entry through the pair-swap ranks.
+complement.  So one cached record per level (_level_tables) holds the
+first vertices, the ranks of the D_MINUS words and, per word set, the
+pair-swap ranks and the ranked images of the all-zero and the all-one
+alpha; every alpha takes the tables of the nearer of those two and
+gathers them once per differing entry through the pair-swap ranks.
 
 A state is its level step: the parent state, the alpha and the two
 permutations of the parent's middle family.  Its families, as last
@@ -113,7 +114,7 @@ class ConstructionState:
         """Path i of the middle family ends at the _inv_by_last[i]-th D_MINUS
         word of length 2n, checked to be a permutation: the family ends at
         exactly those words."""
-        rank = _level_tables(self.n)[1][0]
+        rank = _level_tables(self.n)[1]
         try:
             inv = list(map(rank.__getitem__, _family(self, self.n, False)))
             ok = len(inv) == len(set(inv)) == len(rank)
@@ -149,16 +150,17 @@ class TwoFactor:
 
 
 @cache
-def _level_tables(n: int) -> tuple[tuple, tuple]:
-    """The record of level n, per endpoint word set of a middle family:
-    its first vertices (the frame's, checked to be the Dyck words of
-    length 2n), then the sorted D_MINUS words (its last vertices).  Each
-    entry is (rank, words, swaps, bases): the position of each word; the
-    words; per alpha index i, the rank of each word with pair i+1 swapped
-    (bitcube._swap_pairs inlined, m the pair's low bit), a permutation of
-    the ranks, 16 bits through level 11; and the rank of the f_alpha image
-    of each word for the all-zero and the all-one alpha.  A constant alpha
-    is its own reverse, so one image pair serves both word sets."""
+def _level_tables(n: int) -> tuple:
+    """The record of level n: firsts, the middle family's first vertices
+    (the frame's, checked to be the Dyck words of length 2n); rank, the
+    position of each D_MINUS word of length 2n (its last vertices) in
+    sorted order; and per word set, the first vertices then the sorted
+    D_MINUS words, (swaps, bases): per alpha index i, the rank of each word
+    with pair i+1 swapped (bitcube._swap_pairs inlined, m the pair's low
+    bit), a permutation of the ranks, 16 bits through level 11; and the
+    rank of the f_alpha image of each word (_images) for the all-zero and
+    the all-one alpha.  A constant alpha is its own reverse, so it serves
+    both word sets."""
     dyck = lattice.dyck_bitstrings(2 * n)
     # the cached word objects, not new ints
     firsts = list(map(dict(zip(dyck, dyck)).get, _frame(n, n)[0]))
@@ -166,9 +168,8 @@ def _level_tables(n: int) -> tuple[tuple, tuple]:
         raise ConstructionError(
             f"middle family at level {n} does not start at the Dyck words"
         )
-    mask = (1 << n) - 1
-    images = [_image_tables((bit,) * (n - 1), 0) for bit in (0, 1)]
-    out = []
+    consts = [(bit,) * (n - 1) for bit in (0, 1)]
+    sides = []
     for words in (firsts, sorted(lattice.dminus_bitstrings(2 * n))):
         rank = {x: r for r, x in enumerate(words)}
         code = "H" if len(words) <= 1 << 16 else "I"
@@ -180,15 +181,14 @@ def _level_tables(n: int) -> tuple[tuple, tuple]:
             )
             image = "f_alpha"
             bases = tuple(
-                [rank[low[x & mask] ^ up[x >> n]] for x in words]
-                for _, low, up in images
+                list(map(rank.__getitem__, _images(c, 0, words))) for c in consts
             )
         except KeyError as exc:
             raise ConstructionError(
                 f"{image} image {exc.args[0]} is not a family endpoint"
             ) from exc
-        out.append((rank, words, swaps, bases))
-    return tuple(out)
+        sides.append((swaps, bases))
+    return firsts, rank, *sides  # rank of the last word set, D_MINUS
 
 
 @cache
@@ -208,7 +208,7 @@ def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], ...]:
             f"alpha has length {len(alpha)}, expected {n - 1}"
         )
     base = 2 * sum(map(bool, alpha)) > n - 1
-    (_, _, dyck, fbases), (_, _, dminus, lbases) = _level_tables(n)
+    _, _, (dyck, fbases), (dminus, lbases) = _level_tables(n)
     fb, lb = fbases[base], lbases[base]
     for i, a in enumerate(alpha):
         if bool(a) != base:
@@ -239,32 +239,35 @@ def canonical_cycle(verts: list[int]) -> tuple[int, ...]:
     return tuple(r)
 
 
-def _orbits(succ: list[int]) -> Iterator[list[int]]:
-    """The orbits of the permutation succ, each in walk order from its
-    smallest index."""
-    visited = [False] * len(succ)
-    for start in range(len(succ)):
-        if visited[start]:
-            continue
-        orbit = []
-        j = start
-        while not visited[j]:
-            visited[j] = True
-            orbit.append(j)
-            j = succ[j]
-        if j != start:
-            raise ConstructionError("cycle walk did not close")
-        yield orbit
+def _orbits(w: list[int]) -> Iterator[tuple[int, int]]:
+    """(start, size) for each orbit of the permutation w, by smallest
+    index.  Each orbit is marked in w itself, with the value len(w), so w
+    is consumed: a walk that reads a mark other than its start's steps off
+    the end of w, which happens exactly when w is not a permutation."""
+    mark = len(w)
+    try:
+        for start in range(mark):
+            j = w[start]
+            if j == mark:
+                continue
+            w[start] = mark
+            size = 1
+            while j != start:
+                w[j], j = mark, w[j]
+                size += 1
+            yield start, size
+    except IndexError:
+        raise ConstructionError("cycle walk did not close") from None
 
 
-def _image_tables(alpha: AlphaVector, hi: int) -> tuple[int, list[int], list[int]]:
-    """(h, low, up) with h = n and f_alpha(alpha, v) | hi equal to
-    low[v & (2^h - 1)] ^ up[v >> h] for every 2n-bit v.
+def _images(alpha: AlphaVector, hi: int, vs: Iterable[int]) -> list[int]:
+    """f_alpha(alpha, v) | hi for each v of vs, as two table lookups, one
+    per half of the word.
 
     f_alpha permutes bits and then complements them all, so it is affine
     over GF(2): f_alpha(v) = L(v) ^ f_alpha(0) with L linear, and
     L(e_b) = f_alpha(e_b) ^ f_alpha(0) for each unit vector e_b.  Each
-    table over h bits is filled by XOR doubling, one bit at a time.
+    table over h = n bits is filled by XOR doubling, one bit at a time.
     """
     h = len(alpha) + 1
     zero = f_alpha(alpha, 0)
@@ -273,17 +276,8 @@ def _image_tables(alpha: AlphaVector, hi: int) -> tuple[int, list[int], list[int
         for b in range(shift, shift + h):
             img = f_alpha(alpha, 1 << b) ^ zero
             t += [x ^ img for x in t]
-    return h, low, up
-
-
-def _reversed_image(flat: list[int], alpha: AlphaVector, hi: int) -> list[int]:
-    """f_alpha(alpha, v) | hi for each v of flat, last first: path
-    flat[a:b] of a family of L vertices has its reversed image at
-    [L - b : L - a].  Each image vertex is two lookups in the tables of
-    _image_tables, one per half of the word."""
-    h, low, up = _image_tables(alpha, hi)
     mask = (1 << h) - 1
-    return [low[v & mask] ^ up[v >> h] for v in reversed(flat)]
+    return [low[v & mask] ^ up[v >> h] for v in vs]
 
 
 def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFactor:
@@ -292,16 +286,18 @@ def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFact
     n = state.n
     succ, phat = _successors(state, alpha)
     flat, ends = _family(state, n, True)
-    rev = _reversed_image(flat, alpha, 1 << (2 * n))
+    # path flat[a:b] has its reversed image at rev[size - b : size - a]
+    rev = _images(alpha, 1 << (2 * n), reversed(flat))
     size = len(flat)
     starts = [0, *ends[:-1]]
     cycles = []
-    for orbit in _orbits(succ):
+    for j, blocks in _orbits(list(succ)):
         verts: list[int] = []
-        for j in orbit:
+        for _ in range(blocks):
             h = phat[j]
             verts += flat[starts[j] : ends[j]]
             verts += rev[size - ends[h] : size - starts[h]]
+            j = succ[j]
         cycles.append(canonical_cycle(verts))
     cycles.sort(key=lambda c: c[0])
     return TwoFactor(n, state.alpha_prefix + (alpha,), tuple(cycles))
@@ -316,12 +312,10 @@ def leaf_spectra(
     tau_alpha maps the one 2-factor onto the other.
 
     Each orbit of the path permutation contributes one cycle of length
-    (4n+2) times the orbit size.  The walk is over w = inv_at . fb . at . lb
-    with at = state._by_last and the tables of _alpha_tables: w is the succ
-    of _successors conjugated by at, so it has the same cycle type.  Each
-    orbit is marked in w itself, with the value len(w): a walk that reads
-    a mark other than its start's steps off the end of w, which happens
-    exactly when w is not a permutation.
+    (4n+2) times the orbit size.  The walk (_orbits) is over
+    w = inv_at . fb . at . lb with at = state._by_last and the tables of
+    _alpha_tables: w is the succ of _successors conjugated by at, so it
+    has the same cycle type.
     """
     n = state.n
     at, inv_at = state._by_last, state._inv_by_last
@@ -334,23 +328,10 @@ def leaf_spectra(
             out.append(dict(twin))
             continue
         fb, lb = _alpha_tables(n, alpha)
-        w = [inv_at[fb[at[r]]] for r in lb]
-        mark = len(w)
         spectrum: dict[int, int] = {}
-        try:
-            for start in range(mark):
-                j = w[start]
-                if j == mark:
-                    continue
-                w[start] = mark
-                size = 1
-                while j != start:
-                    w[j], j = mark, w[j]
-                    size += 1
-                length = unit * size
-                spectrum[length] = spectrum.get(length, 0) + 1
-        except IndexError:
-            raise ConstructionError("cycle walk did not close") from None
+        for _, size in _orbits([inv_at[fb[at[r]]] for r in lb]):
+            length = unit * size
+            spectrum[length] = spectrum.get(length, 0) + 1
         walked[alpha] = spectrum
         out.append(spectrum)
     return out
@@ -432,12 +413,12 @@ def _family(state: ConstructionState, k: int, full: bool) -> tuple:
                 ends += [e + size for e in part_ends]
             flat += [v | s for v in part] if s else part
         if k == n + 1 and not full:
-            firsts = _level_tables(n)[0][1]
+            firsts = _level_tables(n)[0]
             flat += [firsts[j] | 2 << m for j in state.succ]
         elif k == n + 1:  # the arcs that replace the middle family
             mid, mid_ends = _family(parent, n, True)
             mid01 = [v | 2 << m for v in mid]
-            rev = _reversed_image(mid, state.alpha, 3 << m)
+            rev = _images(state.alpha, 3 << m, reversed(mid))
             size = len(mid)
             starts = [0, *mid_ends[:-1]]
             for a, b, j, h in zip(starts, mid_ends, state.succ, state.phat):

@@ -93,6 +93,8 @@ class SearchJob:
             raise ValueError(f"{self.mode} mode requires a seed")
         if self.mode == "targeted" and self.target_counts is None:
             raise ValueError("targeted mode requires target counts")
+        if self.target_counts is not None and min(self.target_counts, default=0) < 1:
+            raise ValueError(f"target counts must be at least 1, got {set(self.target_counts)}")
 
 
 @cache

@@ -82,6 +82,17 @@ def test_search_bad_target(capsys):
     assert main(["search", "--n", "3", "--target", "one"]) == 2
 
 
+def test_search_refuses_target_counts_below_one(tmp_path, capsys):
+    # no 2-factor has fewer than one cycle, so such a target never matches
+    out = tmp_path / "r.jsonl"
+    for target in ("0", "1,0", "-2"):
+        for extra in ([], ["--mode", "targeted", "--seed", "1"]):
+            args = ["search", "--n", "3", "--target", target, "--out", str(out)]
+            assert main(args + extra) == 2
+    assert "target counts must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_trees(capsys):
     assert main(["verify", "--n", "4", "--mode", "trees"]) == 0
     assert "ok" in capsys.readouterr().out

@@ -14,7 +14,7 @@ from midlayer.construct import (
     ConstructionError,
     _advance,
     _alpha_tables,
-    _image_tables,
+    _images,
     _orbits,
     _successors,
     assemble_two_factor,
@@ -112,8 +112,11 @@ def test_build_validates_sequence():
 
 def test_build_refuses_entries_other_than_0_and_1():
     # an entry of 2 or True would come out of spectrum_json as an alpha
-    # that parse_sequence refuses
-    for bad in (((), (2,), (0, 3)), ((), (0,), (1, -1)), ((), (True,)), ((), (1.0,))):
+    # that parse_sequence refuses, and "0", which pi_alpha reads as true,
+    # would build the 2-factor of the entry 1
+    for bad in (
+        ((), (2,), (0, 3)), ((), (0,), (1, -1)), ((), (True,)), ((), (1.0,)), ((), ("0",))
+    ):
         with pytest.raises(ValueError, match=r"^alpha vector \d has entries .*, expected 0 or 1$"):
             build(bad)
     assert build(((), (0,), (1, 0))).alphas == ((), (0,), (1, 0))
@@ -252,11 +255,7 @@ def test_image_tables_match_f_alpha():
     # reversed image of a family
     def check(n, alpha, vs):
         for hi in (0, 1 << (2 * n), 3 << (2 * n)):
-            h, low, up = _image_tables(alpha, hi)
-            mask = (1 << h) - 1
-            assert [low[v & mask] ^ up[v >> h] for v in vs] == [
-                f_alpha(alpha, v) | hi for v in vs
-            ]
+            assert _images(alpha, hi, vs) == [f_alpha(alpha, v) | hi for v in vs]
 
     for n in range(1, 6):
         for alpha in product((0, 1), repeat=n - 1):
@@ -279,7 +278,7 @@ def test_middle_family_starts_at_dyck_words_in_frame_order():
         lasts = construct._family(state, n, False)
         assert sorted(firsts) == sorted(lattice.dyck_bitstrings(2 * n))
         assert sorted(lasts) == sorted(lattice.dminus_bitstrings(2 * n))
-        assert construct._level_tables(n)[0][1] == list(firsts)
+        assert construct._level_tables(n)[0] == list(firsts)
 
     def walk(state):
         check(state)
@@ -340,16 +339,15 @@ def test_wrong_last_vertex_is_a_construction_error():
 
 
 def test_image_off_the_endpoints_is_a_construction_error(monkeypatch, fresh_tables):
-    # the rank tables hold only Dyck and D_MINUS words, so an image table
-    # with one low bit flipped must be refused, not read as a rank
+    # the rank tables hold only Dyck and D_MINUS words, so images with
+    # the low bit flipped must be refused, not read as ranks
     state = state_for_prefix(((), (1,)))  # levels 1 and 2 read unspoiled
-    real = construct._image_tables
+    real = construct._images
 
-    def spoiled(alpha, hi):
-        h, low, up = real(alpha, hi)
-        return h, [x ^ 1 for x in low], up
+    def spoiled(alpha, hi, vs):
+        return [x ^ 1 for x in real(alpha, hi, vs)]
 
-    monkeypatch.setattr(construct, "_image_tables", spoiled)
+    monkeypatch.setattr(construct, "_images", spoiled)
     match = "f_alpha image .* not a family endpoint"
     with pytest.raises(ConstructionError, match=match):
         cycle_spectrum(state, (0, 1))
@@ -384,18 +382,28 @@ def test_pair_swap_off_the_endpoints_is_a_construction_error(monkeypatch, fresh_
 
 @pytest.mark.deadline(20)
 def test_level_record_is_bounded_in_bytes(fresh_tables):
-    # every level a process reaches keeps its record: per word set, C_9 =
-    # 4862 entries at n=9, one 2-byte pair-swap table per alpha index and
-    # the two base tables, lists of 8-byte references to the rank ints
+    # every level a process reaches keeps its whole record: C_9 = 4862
+    # first vertices, the rank dict of the D_MINUS words and, per word
+    # set, one 2-byte pair-swap table per alpha index and the two base
+    # tables; the ints themselves are the lattice's words and the ranks
     record = construct._level_tables(9)
-    arrays = [t for _, _, swaps, _ in record for t in swaps]
-    bases = [t for *_, pair in record for t in pair]
-    assert len(arrays) == 2 * 8 and len(bases) == 2 * 2
-    assert {len(t) for t in arrays + bases} == {4862}
-    tuples = [t for _, _, swaps, pair in record for t in (swaps, pair)]
-    size = sum(map(sys.getsizeof, arrays + bases + tuples))
-    # a list built by appending over-allocates by up to an eighth
-    assert size <= (2 * 8 * 2 + 4 * 8 * 9 // 8) * 4862 + 128 * (16 + 4 + 4)
+    firsts, rank, *sides = record
+    arrays = [t for swaps, _ in sides for t in swaps]
+    bases = [t for _, pair in sides for t in pair]
+    assert len(sides) == 2 and len(arrays) == 2 * 8 and len(bases) == 2 * 2
+    assert {len(t) for t in [firsts, rank, *arrays, *bases]} == {4862}
+
+    def size(obj):
+        inner = sum(map(size, obj)) if isinstance(obj, tuple) else 0
+        return sys.getsizeof(obj) + inner
+
+    # a list built by appending over-allocates by up to an eighth, and a
+    # dict with int keys holds 24 bytes per entry in a table at most 2/3
+    # full, plus 2-byte indices: 32 bytes per entry at 4862 entries
+    lists = (1 + 4) * 8 * 9 // 8  # firsts and the four base tables
+    # the record, firsts and rank; per word set three tuples, 8 arrays, 2 lists
+    objects = 3 + 2 * (3 + 8 + 2)
+    assert size(record) <= (lists + 32 + 2 * 8 * 2) * 4862 + 128 * objects
 
 
 def test_wrong_first_vertex_is_a_construction_error(monkeypatch, fresh_tables):
@@ -461,6 +469,52 @@ def test_assembly_refuses_a_non_permutation(monkeypatch):
         assemble_two_factor(state, (1, 0, 1))
 
 
+def reference_orbits(succ):
+    """The orbits of the permutation succ, each in walk order from its
+    smallest index, by a visited list; succ is left as it is."""
+    visited = [False] * len(succ)
+    for start in range(len(succ)):
+        if visited[start]:
+            continue
+        orbit = []
+        j = start
+        while not visited[j]:
+            visited[j] = True
+            orbit.append(j)
+            j = succ[j]
+        if j != start:
+            raise ConstructionError("cycle walk did not close")
+        yield orbit
+
+
+def test_orbits_match_the_visited_list_walk():
+    # the marking walk gives each orbit as its smallest index and its size
+    def check(w):
+        expected = [(orbit[0], len(orbit)) for orbit in reference_orbits(w)]
+        assert list(_orbits(list(w))) == expected
+
+    rng = Random(23)
+    for w in ([], [0], list(range(9)), [*range(1, 50), 0]):
+        check(w)
+    for size in (*range(1, 9), 100, 1000):
+        for _ in range(20):
+            w = list(range(size))
+            rng.shuffle(w)
+            check(w)
+    # a map with a repeated value is no permutation: some walk meets a
+    # marked index other than its start
+    for w in ([0, 0], [1, 1], [1, 2, 1], [2, 0, 0]):
+        with pytest.raises(ConstructionError, match="did not close"):
+            list(reference_orbits(w))
+        with pytest.raises(ConstructionError, match="did not close"):
+            list(_orbits(w))
+    for _ in range(50):
+        w = [rng.randrange(6) for _ in range(6)]
+        if sorted(w) != list(range(6)):
+            with pytest.raises(ConstructionError, match="did not close"):
+                list(_orbits(w))
+
+
 def one_walk_per_alpha(state, alphas):
     """The spectra from the orbits of each alpha's own succ, the path that
     assemble_two_factor takes."""
@@ -468,7 +522,7 @@ def one_walk_per_alpha(state, alphas):
     out = []
     for alpha in alphas:
         sp = {}
-        for orbit in _orbits(_successors(state, alpha)[0]):
+        for orbit in reference_orbits(_successors(state, alpha)[0]):
             sp[unit * len(orbit)] = sp.get(unit * len(orbit), 0) + 1
         out.append(sp)
     return out
@@ -576,7 +630,7 @@ def reference_cycles(state, alpha, mid):
     succ, phat = _successors(state, alpha)
     hi = 1 << (2 * state.n)
     cycles = []
-    for orbit in _orbits(succ):
+    for orbit in reference_orbits(succ):
         verts = []
         for j in orbit:
             verts += reference_block(mid[j], mid[phat[j]], alpha, 0, hi)

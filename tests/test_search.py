@@ -378,6 +378,8 @@ def test_job_rejects_sizes_below_one():
         dict(n=3, mode="random", seed=1, limit=0),
         dict(n=3, mode="targeted", seed=1, target_counts=frozenset({1}), limit=0),
         dict(n=3, mode="targeted", seed=1, target_counts=frozenset({1}), budget=0),
+        dict(n=3, mode="targeted", seed=1, target_counts=frozenset({0, 1})),
+        dict(n=3, target_counts=frozenset({-1})),
         dict(n=3, checkpoint=-1),
     ):
         with pytest.raises(ValueError):
