@@ -1,20 +1,14 @@
 """Parameter-space search over the construction.
 
-Exhaustive search walks the alpha-prefix tree depth first, so the family
-construction for a prefix is done once and shared by every extension; for
-a fixed prefix at the target level, the final alpha vectors cost one pass
-over the middle family per reversal pair, since an alpha vector and its
-reversal give the same cycle spectrum (construct.leaf_spectra).
 Sequences are totally ordered by the mixed-radix index whose most
 significant digit is the level-2 alpha and least significant the final
-one; checkpoints and resume are expressed in that index.  A parallel
-sweep gives each worker task the subtree below one level-(n-1) state, so
-the task layout depends only on n and the start index.  Each worker owns
-every workers-th task and answers them in order on a pipe of its own,
-which the parent reads in task order in its main thread, sending back a
-one-byte credit per consumed answer: no pool, no threads.  A worker's
-exception is raised in the parent, a worker that dies raises
-ChildProcessError, and the workers of a parent that dies exit.
+one; checkpoints and resume are expressed in that index.  An exhaustive
+sweep has one task per level-(n-1) state, whatever the number of
+workers.  A task builds its state once and answers with the spectra of
+the sequences below it only, one construct.leaf_spectra pass per level-n
+child (an alpha and its reversal share a spectrum); the prefix is shared
+within a task, not across tasks, and the parent names the records.
+Tasks run through _ordered_map, in the parent or on worker processes.
 
 Random and targeted modes sample alpha vectors uniformly per level from a
 seeded generator; targeted mode logs only the sequences with the desired
@@ -29,21 +23,16 @@ import multiprocessing
 import os
 import pickle
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import count, product
 from random import Random
 from typing import Iterator
 
 from .analysis import predicted_parity, spectrum_fields
 from .bitcube import AlphaVector, ParameterSequence, format_sequence
-from .construct import (
-    ConstructionError,
-    ConstructionState,
-    _advance,
-    cycle_spectrum,
-    leaf_spectra,
-    state_for_prefix,
-)
+from .construct import ConstructionError, _advance, cycle_spectrum, leaf_spectra, state_for_prefix
 
 
 # Largest level an exhaustive search accepts: 2^21 sequences at n=7,
@@ -115,10 +104,7 @@ def num_sequences(n: int) -> int:
 def all_sequences(n: int) -> list[ParameterSequence]:
     """Every sequence of n alpha vectors (alpha_1 .. alpha_n), in index
     order."""
-    out: list[ParameterSequence] = [()]
-    for level in range(1, n + 1):
-        out = [p + (a,) for p in out for a in alpha_vectors(level)]
-    return out
+    return list(product(*map(alpha_vectors, range(1, n + 1))))
 
 
 def iter_exhaustive(
@@ -126,26 +112,7 @@ def iter_exhaustive(
 ) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
     """Yield (index, sequence, spectrum) for all sequences targeting level
     n with index >= start, in index order."""
-    yield from _walk(state_for_prefix(()), n, start, 0)
-
-
-def _walk(
-    state: ConstructionState, n: int, start: int, base: int
-) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
-    level = state.n
-    if level == n:
-        alphas = alpha_vectors(level)
-        for j, (alpha, sp) in enumerate(zip(alphas, leaf_spectra(state, alphas))):
-            idx = base + j
-            if idx >= start:
-                yield idx, state.alpha_prefix + (alpha,), sp
-    else:
-        sub = num_sequences(n) // num_sequences(level)
-        for j, alpha in enumerate(alpha_vectors(level)):
-            lo = base + j * sub
-            if lo + sub <= start:
-                continue
-            yield from _walk(_advance(state, alpha), n, start, lo)
+    return iter_exhaustive_parallel(n, 1, start=start)
 
 
 def random_sequence(rng: Random, n: int) -> ParameterSequence:
@@ -171,22 +138,33 @@ def iter_random(
 # --- parallel exhaustive sweep -----------------------------------------------
 
 
-def _worker_sweep(args) -> list[tuple[int, ParameterSequence, dict[int, int]]]:
-    n, prefix, base, start = args
-    return list(_walk(state_for_prefix(prefix), n, start, base))
+def _worker_sweep(task) -> list[dict[int, int]]:
+    """The spectra of a sweep task's sequences from index max(start, base)
+    on, in index order: the prefix's level-(n-1) state is built once, and
+    each of its level-n children is one leaf_spectra call."""
+    n, prefix, base, start = task
+    state = state_for_prefix(prefix)
+    finals = alpha_vectors(n)
+    if state.n == n:  # n = 1: the prefix's state is the leaf, and start is 0
+        return leaf_spectra(state, finals)
+    first, skip = divmod(max(start - base, 0), len(finals))
+    spectra: list[dict[int, int]] = []
+    for alpha in alpha_vectors(n - 1)[first:]:
+        spectra += leaf_spectra(_advance(state, alpha), finals)
+    return spectra[skip:]
 
 
-def _answer(task) -> bytes:
-    """A sweep task's records, or the exception it raised, pickled."""
+def _answer(fn, task) -> bytes:
+    """fn(task), or the exception it raised, pickled."""
     try:
-        return pickle.dumps(_worker_sweep(task))
+        return pickle.dumps(fn(task))
     except Exception as exc:
         return pickle.dumps(exc)
 
 
-def _serve(conn, tasks, parent_ends) -> None:
-    """A sweep worker: answer tasks in order on conn, each after the first
-    two once the parent sends a credit.  It closes the parent's ends it
+def _serve(conn, fn, tasks, parent_ends) -> None:
+    """A worker: answer tasks in order on conn, each after the first two
+    once the parent sends a credit.  It closes the parent's ends it
     inherited, so it reads EOF or a broken pipe, and exits quietly, when
     the parent dies."""
     for end in parent_ends:
@@ -195,15 +173,15 @@ def _serve(conn, tasks, parent_ends) -> None:
         for k, task in enumerate(tasks):
             if k >= 2:
                 conn.recv_bytes()
-            conn.send_bytes(_answer(task))
+            conn.send_bytes(_answer(fn, task))
     except (EOFError, ConnectionError):
         return
 
 
 def _sweep_tasks(n: int, start: int = 0) -> list[tuple]:
-    """Worker tasks of a parallel sweep from index start, in index order:
-    one per prefix of max(n-2, 0) alphas, that is the subtree below one
-    level-(n-1) state, holding 2^(2n-3) sequences for n >= 2."""
+    """Tasks (n, prefix, base, start) of a sweep from index start, in index
+    order: one per prefix of max(n-2, 0) alphas, that is the subtree below
+    one level-(n-1) state, holding 2^(2n-3) sequences for n >= 2."""
     depth = max(n - 2, 0)
     sub = num_sequences(n) // num_sequences(depth)
     return [
@@ -213,27 +191,19 @@ def _sweep_tasks(n: int, start: int = 0) -> list[tuple]:
     ]
 
 
-def iter_exhaustive_parallel(
-    n: int, workers: int, start: int = 0
-) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
-    """Same stream as iter_exhaustive, produced by worker processes.
-
-    Each task is the subtree below one level-(n-1) state, whatever the
-    number of workers, so a task's records and a worker's memory stay
-    small.  Worker w owns tasks w, w + workers, ... and answers them in
-    order on its own pipe, so the parent reads the pipes in task order and
-    yields records in index order.  Once task i's records are consumed,
-    worker i mod workers gets a credit to start task i + 2 * workers, so
-    at most 2 * workers tasks are started and not yet consumed, and a slow
-    consumer holds at most that many finished subtrees.  A sweep starts no
-    more workers than it has tasks, and runs serially with one.  A task's
-    exception is raised here when its records are due; a worker that
-    exits early raises ChildProcessError.
-    """
-    tasks = _sweep_tasks(n, start)
+def _ordered_map(fn, tasks: list, workers: int) -> Iterator:
+    """Yield fn(task) for each task, in task order: map(fn, tasks) with
+    one worker or one task; else worker w owns tasks w, w + workers, ...
+    and answers them in order on its own pipe, read by the parent's main
+    thread in task order.  Once task i's answer is consumed, worker i mod
+    workers gets a one-byte credit to start task i + 2 * workers, so at
+    most 2 * workers tasks are started and not yet consumed.  A task's
+    exception is raised here when its answer is due, a worker that exits
+    early raises ChildProcessError, and the workers of a parent that dies
+    exit."""
     workers = min(workers, len(tasks))
     if workers <= 1:
-        yield from iter_exhaustive(n, start=start)
+        yield from map(fn, tasks)
         return
     conns, procs = [], []
 
@@ -249,7 +219,7 @@ def iter_exhaustive_parallel(
             conns.append(conn)
             try:
                 proc = multiprocessing.Process(
-                    target=_serve, args=(child, tasks[w::workers], conns), daemon=True
+                    target=_serve, args=(child, fn, tasks[w::workers], conns), daemon=True
                 )
                 proc.start()
             finally:
@@ -265,7 +235,7 @@ def iter_exhaustive_parallel(
                 raise lost(w) from None
             if isinstance(answer, Exception):
                 raise answer
-            yield from answer
+            yield answer
             del answer  # not held while the next recv blocks
             if i + 2 * workers < len(tasks):
                 try:
@@ -279,6 +249,41 @@ def iter_exhaustive_parallel(
             proc.join()
         for conn in conns:
             conn.close()
+
+
+@cache
+def _task_tails(n: int) -> tuple[ParameterSequence, ...]:
+    """The alphas after a sweep task's prefix, one tuple per sequence."""
+    return tuple(product(*map(alpha_vectors, range(max(n - 1, 1), n + 1))))
+
+
+def _records(task, spectra: list[dict[int, int]]) -> Iterator:
+    """The records (index, sequence, spectrum) of a task's answer, named
+    from the task; an answer whose length is not the task's sequence
+    count from start on raises ConstructionError."""
+    n, prefix, base, start = task
+    lo = max(start, base)
+    tails = _task_tails(n)[lo - base:]
+    if len(spectra) != len(tails):
+        raise ConstructionError(
+            f"sweep task at {base}: {len(spectra)} spectra for {len(tails)} sequences"
+        )
+    return zip(count(lo), map(prefix.__add__, tails), spectra)
+
+
+def iter_exhaustive_parallel(
+    n: int, workers: int, start: int = 0
+) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
+    """Same stream as iter_exhaustive: _ordered_map over the sweep tasks,
+    whatever the number of workers, each answer named by _records."""
+    tasks = _sweep_tasks(n, start)
+    answers = _ordered_map(_worker_sweep, tasks, workers)
+    try:
+        for task, spectra in zip(tasks, answers):
+            yield from _records(task, spectra)
+            del spectra  # not held while the next answer is awaited
+    finally:
+        answers.close()
 
 
 # --- front ends --------------------------------------------------------------
@@ -298,14 +303,8 @@ TABLE1_EXPECTED: dict[int, tuple[int, int]] = {
 
 def table1_counts(n: int, workers: int = 1) -> tuple[int, int]:
     """Counts of sequences at level n giving one and two cycles."""
-    ones = twos = 0
-    for _, _, sp in iter_exhaustive_parallel(n, workers):
-        ncyc = sum(sp.values())
-        if ncyc == 1:
-            ones += 1
-        elif ncyc == 2:
-            twos += 1
-    return ones, twos
+    cycles = Counter(sum(sp.values()) for _, _, sp in iter_exhaustive_parallel(n, workers))
+    return cycles[1], cycles[2]
 
 
 @dataclass

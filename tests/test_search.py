@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -16,6 +17,8 @@ from midlayer.construct import ConstructionError
 from midlayer.search import (
     TABLE1_EXPECTED,
     SearchJob,
+    _answer,
+    _records,
     _sweep_tasks,
     _worker_sweep,
     all_sequences,
@@ -227,19 +230,59 @@ def test_checkpoint_resume_record_stream(tmp_path):
 
 
 def test_parallel_tasks_are_bounded():
-    # one task per level-(n-1) state
+    # one task per level-(n-1) state; a task answers with spectra, which
+    # the naming step turns into the task's records
     for n in range(1, 6):
         serial = list(iter_exhaustive(n))
         total = len(serial)
+        assert [(idx, seq) for idx, seq, _ in serial] == list(enumerate(all_sequences(n)))
         for start in sorted({0, 1, total // 3, total - 1}):
-            chunks = [_worker_sweep(task) for task in _sweep_tasks(n, start)]
-            assert [rec for chunk in chunks for rec in chunk] == serial[start:]
+            tasks = _sweep_tasks(n, start)
+            chunks = [_worker_sweep(task) for task in tasks]
+            named = [rec for task, chunk in zip(tasks, chunks) for rec in _records(task, chunk)]
+            assert named == serial[start:]
             assert max(map(len, chunks), default=0) <= max(2 ** (2 * n - 3), 1)
     # at n=7: 1024 subtrees of 2048 sequences, read from the tasks alone
     tasks = _sweep_tasks(7)
     assert len(tasks) == 1024
     assert [base for _, _, base, _ in tasks] == [i * 2048 for i in range(1024)]
     assert [prefix for _, prefix, _, _ in tasks] == all_sequences(5)
+
+
+def test_answers_are_spectra_only():
+    # every n=5 answer, from a whole sweep and from a start inside a task,
+    # is a list of {length: count} dicts, one per sequence of its task
+    for start in (0, 300):
+        for task in _sweep_tasks(5, start):
+            _, _, base, _ = task
+            answer = pickle.loads(_answer(_worker_sweep, task))
+            assert type(answer) is list
+            assert len(answer) == base + 2**7 - max(start, base)
+            for sp in answer:
+                assert type(sp) is dict
+                assert all(type(k) is int and type(v) is int for k, v in sp.items())
+
+
+def _short_sweep(task):
+    return _worker_sweep(task)[:-1]
+
+
+@pytest.mark.deadline(20)
+def test_short_answer_is_a_construction_error(monkeypatch, capsys):
+    # an answer that lost a spectrum must not lose a record silently
+    monkeypatch.setattr(search, "_worker_sweep", _short_sweep)
+    for workers, start in ((1, 0), (1, 5), (2, 0)):
+        with pytest.raises(ConstructionError, match=r"task at 0: \d+ spectra for \d+ sequences"):
+            list(iter_exhaustive_parallel(4, workers, start=start))
+        assert multiprocessing.active_children() == []
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    assert main(["search", "--n", "4", "--workers", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: sweep task at 0: 31 spectra for 32 sequences" in err
+    # table1 counts every level up to n, and the first, n=1, already fails
+    assert main(["table1", "--n", "4", "--workers", "2"]) == 3
+    assert "internal error: sweep task at 0: 0 spectra for 1 sequences" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def _logged_sweep(log, task):
@@ -267,11 +310,15 @@ def test_parallel_stream_bounds_tasks_in_flight(tmp_path, monkeypatch):
 
 @pytest.mark.deadline(60)
 def test_answers_larger_than_half_the_socket_buffer():
-    # an n=7 task's answer pickles to 170-180 KB, more than half the
-    # 212,992-byte default socket buffer, so a worker's two answers in
-    # flight do not both fit in its pipe; from 5 records before the last
-    # three tasks
+    # each of the last three n=7 tasks' answers pickles to 117-126 KB,
+    # more than half the 212,992-byte default socket buffer, so a worker's
+    # two answers in flight do not both fit in its pipe; from 5 records
+    # before those three tasks
     start = 2**21 - 3 * 2048 - 5
+    tasks = _sweep_tasks(7, start)
+    assert len(tasks) == 4
+    for task in tasks[1:]:
+        assert len(_answer(_worker_sweep, task)) > 212_992 // 2
     got = list(iter_exhaustive_parallel(7, 2, start=start))
     assert got == list(iter_exhaustive(7, start=start))
     assert multiprocessing.active_children() == []
@@ -347,8 +394,10 @@ def _dying_sweep(task):
 def test_worker_death_raises_child_process_error(monkeypatch, capsys):
     # n=4 has two tasks of 32 records, one per worker; the second worker
     # exits mid-sweep, so the stream yields exactly the first task
-    monkeypatch.setattr(search, "_worker_sweep", _dying_sweep)
+    # the serial stream runs the task function in this process, so it is
+    # read before the dying one is patched in
     serial = list(iter_exhaustive(4))
+    monkeypatch.setattr(search, "_worker_sweep", _dying_sweep)
     got = []
     with pytest.raises(ChildProcessError, match="exited with code 7"):
         for record in iter_exhaustive_parallel(4, 2):
@@ -364,7 +413,7 @@ def test_worker_death_raises_child_process_error(monkeypatch, capsys):
 def test_n7_task_is_one_level_6_subtree():
     task = _sweep_tasks(7)[517]
     _, prefix, base, _ = task
-    records = _worker_sweep(task)
+    records = list(_records(task, _worker_sweep(task)))
     assert [idx for idx, _, _ in records] == list(range(base, base + 2048))
     assert all(seq[:5] == prefix for _, seq, _ in records)
 
