@@ -14,7 +14,7 @@ from math import comb
 from operator import xor
 
 from . import lattice, trees
-from .bitcube import AlphaVector, format_sequence, tau_alpha
+from .bitcube import AlphaVector, format_bits, format_sequence, tau_alpha
 from .construct import TwoFactor, build, canonical_cycle
 
 
@@ -176,8 +176,6 @@ def spectrum_json(tf: TwoFactor) -> dict:
 
 
 def two_factor_json(tf: TwoFactor) -> dict:
-    from .bitcube import format_bits
-
     m = 2 * tf.n + 1
     return {
         "n": tf.n,

@@ -47,21 +47,9 @@ def _swap_pairs(x: int, mask: int) -> int:
 
 @cache
 def pair_mask(alpha: AlphaVector) -> int:
-    """The low bits of the pairs pi_alpha swaps: bit index 2i-1 (position
-    2i) for every i with alpha(i)=1."""
+    """The low bits of the pairs f_alpha swaps before it reverses and
+    complements: bit index 2i-1 (position 2i) for every i with alpha(i)=1."""
     return sum(1 << (2 * i - 1) for i, a in enumerate(alpha, start=1) if a)
-
-
-def pi_alpha(alpha: AlphaVector, x: int) -> int:
-    """Swap bits at positions 2i and 2i+1 for every i with alpha(i)=1.
-
-    x must be a bitstring of length 2*(len(alpha)+1); positions 1 and 2n
-    are always fixed.  An involution.
-    """
-    n = len(alpha) + 1
-    if x >> (2 * n):
-        raise ValueError(f"expected a bitstring of length {2 * n}")
-    return _swap_pairs(x, pair_mask(alpha))
 
 
 def f_alpha(alpha: AlphaVector, x: int) -> int:

@@ -62,9 +62,6 @@ from typing import Iterable, Iterator
 from . import lattice
 from .bitcube import AlphaVector, ParameterSequence, check_sequence, f_alpha
 
-Path = tuple[int, ...]
-
-
 class ConstructionError(Exception):
     """An internal invariant of the construction was violated."""
 
@@ -103,37 +100,31 @@ class ConstructionState:
         return self.parent.alpha_prefix + (self.alpha,)
 
     @property
-    def families(self) -> dict[int, tuple[Path, ...]]:
+    def families(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         """The full paths of every listed family."""
         top = 2 * self.n if self.k_cap is None else min(2 * self.n, self.k_cap + 1)
         paths = lambda flat, ends: tuple(tuple(flat[a:b]) for a, b in zip((0, *ends), ends))
         return {k: paths(*_family(self, k, True)) for k in range(self.n, top)}
 
     @cached_property
-    def _inv_by_last(self) -> list[int]:
-        """Path i of the middle family ends at the _inv_by_last[i]-th D_MINUS
-        word of length 2n, checked to be a permutation: the family ends at
+    def _index(self) -> tuple[list[int], list[int]]:
+        """(inv, at): path i of the middle family ends at the inv[i]-th
+        D_MINUS word of length 2n, and path at[r] ends at the r-th, checked
+        in the same pass to be inverse permutations: the family ends at
         exactly those words."""
         rank = _level_tables(self.n)[1]
+        at = [-1] * len(rank)
         try:
             inv = list(map(rank.__getitem__, _family(self, self.n, False)))
-            ok = len(inv) == len(set(inv)) == len(rank)
+            for i, r in enumerate(inv):
+                at[r] = i
         except KeyError:
-            ok = False
-        if not ok:
+            inv = []
+        if len(inv) != len(at) or -1 in at:
             raise ConstructionError(
                 f"middle family at level {self.n} does not end at the D_MINUS words"
             )
-        return inv
-
-    @cached_property
-    def _by_last(self) -> list[int]:
-        """Middle-family path indices sorted by last vertex, the inverse of
-        _inv_by_last: path _by_last[r] ends at the r-th D_MINUS word."""
-        at = [0] * len(self._inv_by_last)
-        for i, r in enumerate(self._inv_by_last):
-            at[r] = i
-        return at
+        return inv, at
 
 
 @dataclass(frozen=True)
@@ -223,9 +214,9 @@ def _successors(
     """For each path index i of the middle family: phat[i], the path whose
     image block follows path i on its cycle, and succ[i], the path after
     that."""
-    at = state._by_last
+    inv, at = state._index
     fb, lb = _alpha_tables(state.n, alpha)
-    phat = [at[lb[r]] for r in state._inv_by_last]
+    phat = [at[lb[r]] for r in inv]
     succ = [fb[j] for j in phat]
     return succ, phat
 
@@ -299,7 +290,7 @@ def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFact
             verts += rev[size - ends[h] : size - starts[h]]
             j = succ[j]
         cycles.append(canonical_cycle(verts))
-    cycles.sort(key=lambda c: c[0])
+    cycles.sort()
     return TwoFactor(n, state.alpha_prefix + (alpha,), tuple(cycles))
 
 
@@ -313,12 +304,12 @@ def leaf_spectra(
 
     Each orbit of the path permutation contributes one cycle of length
     (4n+2) times the orbit size.  The walk (_orbits) is over
-    w = inv_at . fb . at . lb with at = state._by_last and the tables of
+    w = inv . fb . at . lb with (inv, at) = state._index and the tables of
     _alpha_tables: w is the succ of _successors conjugated by at, so it
     has the same cycle type.
     """
     n = state.n
-    at, inv_at = state._by_last, state._inv_by_last
+    inv, at = state._index
     unit = 4 * n + 2
     walked: dict[AlphaVector, dict[int, int]] = {}
     out = []
@@ -329,7 +320,7 @@ def leaf_spectra(
             continue
         fb, lb = _alpha_tables(n, alpha)
         spectrum: dict[int, int] = {}
-        for _, size in _orbits([inv_at[fb[at[r]]] for r in lb]):
+        for _, size in _orbits([inv[fb[at[r]]] for r in lb]):
             length = unit * size
             spectrum[length] = spectrum.get(length, 0) + 1
         walked[alpha] = spectrum

@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice, product
-from math import comb
 from random import Random
 
 from . import analysis, construct, lattice, trees

@@ -12,7 +12,6 @@ from midlayer.bitcube import (
     parse_alpha,
     parse_bits,
     parse_sequence,
-    pi_alpha,
     tau_alpha,
     weight,
 )
@@ -49,30 +48,6 @@ def test_parse_bits_rejects_junk():
 def test_weight():
     assert weight(bits("10110")) == 3
     assert weight(0) == 0
-
-
-def test_pi_alpha_examples():
-    assert pi_alpha((1,), bits("1010")) == bits("1100")
-    assert pi_alpha((0,), bits("1010")) == bits("1010")
-    assert pi_alpha((1, 0), bits("101100")) == bits("110100")
-
-
-def test_pi_alpha_length_check():
-    with pytest.raises(ValueError):
-        pi_alpha((1,), 0b10000)
-
-
-@given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.tuples(
-            st.tuples(*[st.integers(0, 1)] * (n - 1)),
-            st.integers(0, (1 << (2 * n)) - 1),
-        )
-    )
-)
-def test_pi_alpha_involution(args):
-    alpha, x = args
-    assert pi_alpha(alpha, pi_alpha(alpha, x)) == x
 
 
 def test_f_alpha_examples():

@@ -112,7 +112,7 @@ def test_build_validates_sequence():
 
 def test_build_refuses_entries_other_than_0_and_1():
     # an entry of 2 or True would come out of spectrum_json as an alpha
-    # that parse_sequence refuses, and "0", which pi_alpha reads as true,
+    # that parse_sequence refuses, and "0", which f_alpha's pair mask reads as true,
     # would build the 2-factor of the entry 1
     for bad in (
         ((), (2,), (0, 3)), ((), (0,), (1, -1)), ((), (True,)), ((), (1.0,)), ((), ("0",))
@@ -240,7 +240,7 @@ def test_alpha_tables_match_f_alpha():
             check(n, base)
             for i in range(n - 1):
                 check(n, base[:i] + (1 - bit,) + base[i + 1 :])
-    # entries count by truth value, as pi_alpha reads them, whether the
+    # entries count by truth value, as bitcube.pair_mask reads them, whether the
     # tables are composed from the all-zero or the all-one alpha or filled
     for alpha in ((2, 0, True, 0), (2, 1, True, 0), (2, 2, True, 1)):
         assert _alpha_tables(5, alpha) == _alpha_tables(5, tuple(map(bool, alpha)))
