@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from operator import xor
 
@@ -59,7 +60,7 @@ def verify_two_factor(tf: TwoFactor) -> VerificationReport:
     m = 2 * n + 1
     failures: list[str] = []
     seen: set[int] = set()
-    total = 0
+    total = bad_visits = 0
     for ci, cycle in enumerate(tf.cycles):
         if len(cycle) % (4 * n + 2):
             failures.append(f"cycle {ci}: length {len(cycle)} not divisible by {4 * n + 2}")
@@ -68,19 +69,21 @@ def verify_two_factor(tf: TwoFactor) -> VerificationReport:
         if cycle and max(cycle) >> m:
             failures.extend(f"cycle {ci}: vertex {v:#x} too long" for v in cycle if v >> m)
         # Hamming distance from each vertex to the one before it
-        steps = list(map(int.bit_count, map(xor, cycle[-1:] + cycle[:-1], cycle)))
+        steps = list(map(int.bit_count, map(xor, chain(cycle[-1:], cycle), cycle)))
         if steps.count(1) != len(steps):
             failures.extend(
                 f"cycle {ci}: vertices at {i - 1},{i} not adjacent"
                 for i, d in enumerate(steps)
                 if d != 1
             )
+        weights = list(map(int.bit_count, cycle))
+        bad_visits += len(cycle) - weights.count(n) - weights.count(n + 1)
     repeats = total - len(seen)
     if repeats:
         failures.append(f"{repeats} repeated vertex visits")
-    weights = list(map(int.bit_count, seen))
-    bad_weight = len(seen) - weights.count(n) - weights.count(n + 1)
-    if bad_weight:
+    if bad_visits:
+        # the message counts distinct vertices, not visits
+        bad_weight = sum(v.bit_count() not in (n, n + 1) for v in seen)
         failures.append(f"{bad_weight} vertices outside the middle levels")
     expected = comb(m, n) + comb(m, n + 1)
     if total != expected:

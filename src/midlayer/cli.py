@@ -44,8 +44,8 @@ def _at_least_one(**values: int) -> None:
             raise ValueError(f"--{name} must be at least 1, got {value}")
 
 
-# the largest n a build + verify holds in memory: 2.8 s and 388 MB at
-# n=11, about 4x that per level above
+# the largest n a build + verify holds in memory: 2.5 to 3.1 s and 383 MB
+# peak RSS at n=11 in a fresh process, about 4x that per level above
 _BUILD_CEILING = 11
 
 

@@ -273,23 +273,45 @@ def _images(alpha: AlphaVector, hi: int, vs: Iterable[int]) -> list[int]:
 
 def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFactor:
     """Glue the middle family, its f_alpha image, and the endpoint matching
-    into the 2-factor of the middle layer of the (2n+1)-cube."""
+    into the 2-factor of the middle layer of the (2n+1)-cube.
+
+    Each cycle is written once, already canonical: it starts at the path of
+    its orbit with the smallest first vertex and runs forward.  That is
+    canonical_cycle's rotation and orientation, because
+    - every path's first vertex is its strict minimum, by induction over
+      _family's rule: the level-1 path is 01, 11, 10; a shifted copy ORs
+      the same bits above 2n into every vertex; and an arc starts at the
+      old second vertex, below 2^(2n), while every later arc vertex has
+      bit 2n+1 set;
+    - every path vertex (suffix 0) lies below every image vertex (bit 2n
+      set), so the cycle's minimum is the smallest first vertex;
+    - a middle path starts at a Dyck word and ends at a D_MINUS word, and
+      the two sets are disjoint, so it has at least 3 vertices: the
+      second vertex of the cycle is a path vertex and the last one an
+      image vertex, which is larger, so the cycle is never reversed.
+    """
     n = state.n
     succ, phat = _successors(state, alpha)
     flat, ends = _family(state, n, True)
+    firsts = _level_tables(n)[0]
     # path flat[a:b] has its reversed image at rev[size - b : size - a]
     rev = _images(alpha, 1 << (2 * n), reversed(flat))
     size = len(flat)
     starts = [0, *ends[:-1]]
     cycles = []
     for j, blocks in _orbits(list(succ)):
+        i = j
+        for _ in range(blocks - 1):
+            i = succ[i]
+            if firsts[i] < firsts[j]:
+                j = i
         verts: list[int] = []
         for _ in range(blocks):
             h = phat[j]
             verts += flat[starts[j] : ends[j]]
             verts += rev[size - ends[h] : size - starts[h]]
             j = succ[j]
-        cycles.append(canonical_cycle(verts))
+        cycles.append(tuple(verts))
     cycles.sort()
     return TwoFactor(n, state.alpha_prefix + (alpha,), tuple(cycles))
 

@@ -76,6 +76,10 @@ class SearchJob:
         bound = EXHAUSTIVE_BOUND if self.mode == "exhaustive" else SAMPLED_BOUND
         if self.n > bound:
             raise ValueError(f"{self.mode} search limited to n <= {bound}")
+        # index num_sequences(n) resumes a finished sweep; past it is no index
+        end = num_sequences(self.n)
+        if self.mode == "exhaustive" and self.checkpoint > end:
+            raise ValueError(f"checkpoint must be at most {end} at n={self.n}, got {self.checkpoint}")
         if self.mode != "exhaustive" and self.workers > 1:
             raise ValueError(f"{self.mode} mode runs serially; workers must be 1")
         if self.mode in ("random", "targeted") and self.seed is None:

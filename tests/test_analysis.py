@@ -1,5 +1,6 @@
 from collections import Counter
 from math import comb
+from operator import xor
 from random import Random
 
 import pytest
@@ -84,10 +85,12 @@ def test_verify_detects_vertex_outside_middle_levels():
 
 def test_verify_detects_vertex_too_long():
     tf = build(seq(",0"))
-    c = list(tf.cycles[0])
-    c[4] |= 1 << 5
-    report = verify_two_factor(TwoFactor(tf.n, tf.alphas, (tuple(c),)))
-    assert f"cycle 0: vertex {c[4]:#x} too long" in report.failures
+    # one bit too many, and 300 set bits, a weight no byte holds
+    for v in (tf.cycles[0][4] | 1 << 5, (1 << 300) - 1):
+        c = list(tf.cycles[0])
+        c[4] = v
+        report = verify_two_factor(TwoFactor(tf.n, tf.alphas, (tuple(c),)))
+        assert f"cycle 0: vertex {v:#x} too long" in report.failures
 
 
 def test_verify_detects_length_not_multiple_of_unit():
@@ -134,6 +137,65 @@ def test_verify_agrees_with_reference_on_small_levels():
             for t in broken:
                 assert verify_two_factor(t).ok == _reference_ok(t)
             assert verify_two_factor(tf).ok
+
+
+def _reference_failures(tf):
+    """The failure list of the set-based check that verify_two_factor's
+    per-cycle passes replaced: a rotated copy per cycle for adjacency and
+    the weights counted over the set of visited vertices."""
+    n = tf.n
+    m = 2 * n + 1
+    failures = []
+    seen = set()
+    total = 0
+    for ci, cycle in enumerate(tf.cycles):
+        if len(cycle) % (4 * n + 2):
+            failures.append(f"cycle {ci}: length {len(cycle)} not divisible by {4 * n + 2}")
+        total += len(cycle)
+        seen.update(cycle)
+        if cycle and max(cycle) >> m:
+            failures.extend(f"cycle {ci}: vertex {v:#x} too long" for v in cycle if v >> m)
+        steps = list(map(int.bit_count, map(xor, cycle[-1:] + cycle[:-1], cycle)))
+        if steps.count(1) != len(steps):
+            failures.extend(
+                f"cycle {ci}: vertices at {i - 1},{i} not adjacent"
+                for i, d in enumerate(steps)
+                if d != 1
+            )
+    repeats = total - len(seen)
+    if repeats:
+        failures.append(f"{repeats} repeated vertex visits")
+    weights = list(map(int.bit_count, seen))
+    bad_weight = len(seen) - weights.count(n) - weights.count(n + 1)
+    if bad_weight:
+        failures.append(f"{bad_weight} vertices outside the middle levels")
+    expected = comb(m, n) + comb(m, n + 1)
+    if total != expected:
+        failures.append(f"covered {total} vertices, expected {expected}")
+    return failures
+
+
+def test_verify_failures_match_the_set_based_check():
+    for n in range(1, 4):
+        for s in all_sequences(n):
+            tf = build(s)
+            first, rest = tf.cycles[0], tf.cycles[1:]
+            swapped = list(first)
+            swapped[1], swapped[3] = swapped[3], swapped[1]
+            cases = [
+                tf.cycles,
+                (first[1:],) + rest,  # vertex missing
+                tf.cycles + (first[:1],),  # vertex repeated
+                (tuple(swapped),) + rest,  # two vertices swapped
+                (first[::2],) + rest,  # every other vertex dropped
+                (first[:2] + (first[2] | 2 << 2 * n,) + first[3:],) + rest,  # too long
+                (first[:2] + ((1 << 300) - 1,) + first[3:],) + rest,  # 300 bits
+                ((0,) + first[1:] + (0,),) + rest,  # wrong weight, visited twice
+                tf.cycles + ((),),  # empty cycle
+            ]
+            for cycles in cases:
+                broken = TwoFactor(n, s, cycles)
+                assert verify_two_factor(broken).failures == _reference_failures(broken)
 
 
 def test_beta_examples():

@@ -74,6 +74,17 @@ def test_search_rejects_negative_checkpoint(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_search_rejects_checkpoint_past_the_last_index(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    assert main(["search", "--n", "3", "--checkpoint", "9", "--out", str(out)]) == 2
+    assert "checkpoint must be at most 8 at n=3, got 9" in capsys.readouterr().err
+    assert not out.exists()
+    # checkpoint 8 resumes the finished n=3 sweep
+    assert main(["search", "--n", "3", "--checkpoint", "8", "--out", str(out)]) == 0
+    assert "evaluated 0 sequences" in capsys.readouterr().out
+    assert out.read_text() == ""
+
+
 def test_search_requires_seed(capsys):
     assert main(["search", "--n", "3", "--mode", "random"]) == 2
 

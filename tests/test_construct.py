@@ -52,6 +52,10 @@ def test_canonical_cycle():
     assert canonical_cycle([3, 1, 5, 4]) == (1, 3, 4, 5)
     assert canonical_cycle([4, 5, 1, 3]) == (1, 3, 4, 5)
     assert canonical_cycle([2, 6, 9]) == (2, 6, 9)
+    # the orientation compares the two neighbours of the minimum, not a
+    # vertex two steps on
+    assert canonical_cycle([1, 5, 3, 4]) == (1, 4, 3, 5)
+    assert canonical_cycle([1, 5, 9, 3]) == (1, 3, 9, 5)
 
 
 def test_assemble_level_one_six_cycle():
@@ -638,13 +642,25 @@ def reference_cycles(state, alpha, mid):
     return tuple(sorted(cycles))
 
 
+def assert_canonical(cycles):
+    # assembly writes each cycle in canonical order without canonical_cycle
+    for c in cycles:
+        assert c == canonical_cycle(list(c))
+
+
 def test_flat_families_and_assembly_match_the_per_path_rule():
     def check(state, alphas):
         fams = reference_families(state)
         assert state.families == fams
+        # every path's first vertex is its strict minimum, which assembly's
+        # canonical start rests on
+        for fam in fams.values():
+            for p in fam:
+                assert all(v > p[0] for v in p[1:])
         for alpha in alphas:
             cycles = assemble_two_factor(state, alpha).cycles
             assert cycles == reference_cycles(state, alpha, fams[state.n])
+            assert_canonical(cycles)
 
     def walk(state):
         check(state, alpha_vectors(state.n))
@@ -658,3 +674,5 @@ def test_flat_families_and_assembly_match_the_per_path_rule():
         for _ in range(4):
             seq = random_sequence(rng, level)
             check(state_for_prefix(seq[:-1]), seq[-1:])
+    for _ in range(2):
+        assert_canonical(build(random_sequence(rng, 9)).cycles)

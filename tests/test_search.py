@@ -229,6 +229,21 @@ def test_checkpoint_resume_record_stream(tmp_path):
     assert strip(split.read_text().splitlines()) == strip(head)
 
 
+def test_exhaustive_checkpoint_is_bounded_by_the_sequence_count(tmp_path):
+    for n in (1, 3, 4):
+        end = num_sequences(n)
+        with pytest.raises(ValueError, match=f"at most {end} at n={n}, got {end + 1}"):
+            SearchJob(n=n, checkpoint=end + 1)
+        # resuming at the end is a finished sweep
+        out = tmp_path / f"r{n}.jsonl"
+        summary = run_search(SearchJob(n=n, checkpoint=end), out_path=out)
+        assert (summary.evaluated, summary.last_index) == (0, -1)
+        assert out.read_text() == ""
+    # a random stream has no end, so its checkpoint has no bound
+    job = SearchJob(n=3, mode="random", seed=1, checkpoint=100, limit=2)
+    assert run_search(job).evaluated == 2
+
+
 def test_parallel_tasks_are_bounded():
     # one task per level-(n-1) state; a task answers with spectra, which
     # the naming step turns into the task's records
