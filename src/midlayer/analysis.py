@@ -62,7 +62,9 @@ def verify_two_factor(tf: TwoFactor) -> VerificationReport:
     seen: set[int] = set()
     total = bad_visits = 0
     for ci, cycle in enumerate(tf.cycles):
-        if len(cycle) % (4 * n + 2):
+        if not cycle:
+            failures.append(f"cycle {ci}: empty")
+        elif len(cycle) % (4 * n + 2):
             failures.append(f"cycle {ci}: length {len(cycle)} not divisible by {4 * n + 2}")
         total += len(cycle)
         seen.update(cycle)

@@ -4,11 +4,15 @@ Sequences are totally ordered by the mixed-radix index whose most
 significant digit is the level-2 alpha and least significant the final
 one; checkpoints and resume are expressed in that index.  An exhaustive
 sweep has one task per level-(n-1) state, whatever the number of
-workers.  A task builds its state once and answers with the spectra of
-the sequences below it only, one construct.leaf_spectra pass per level-n
-child (an alpha and its reversal share a spectrum); the prefix is shared
-within a task, not across tasks, and the parent names the records.
-Tasks run through _ordered_map, in the parent or on worker processes.
+workers.  A task is (n, prefix), and its answer depends on those alone:
+it builds its state once and answers with the spectra of every sequence
+below it, one construct.leaf_spectra pass per level-n child (an alpha
+and its reversal share a spectrum); the prefix is shared within a task,
+not across tasks.  The parent names the records and applies the
+checkpoint once: it skips the tasks wholly before it and drops the
+records before it from the first answer, so a resume inside a task
+recomputes that task.  Tasks run through _ordered_map, in the parent or
+on worker processes.
 
 Random and targeted modes sample alpha vectors uniformly per level from a
 seeded generator; targeted mode logs only the sequences with the desired
@@ -26,7 +30,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import count, product
+from itertools import count, islice, product
 from random import Random
 from typing import Iterator
 
@@ -143,19 +147,18 @@ def iter_random(
 
 
 def _worker_sweep(task) -> list[dict[int, int]]:
-    """The spectra of a sweep task's sequences from index max(start, base)
-    on, in index order: the prefix's level-(n-1) state is built once, and
-    each of its level-n children is one leaf_spectra call."""
-    n, prefix, base, start = task
+    """The spectra of every sequence below a sweep task's prefix, in index
+    order: the prefix's level-(n-1) state is built once, and each of its
+    level-n children is one leaf_spectra call."""
+    n, prefix = task
     state = state_for_prefix(prefix)
     finals = alpha_vectors(n)
-    if state.n == n:  # n = 1: the prefix's state is the leaf, and start is 0
+    if state.n == n:  # n = 1: the prefix's state is the leaf
         return leaf_spectra(state, finals)
-    first, skip = divmod(max(start - base, 0), len(finals))
     spectra: list[dict[int, int]] = []
-    for alpha in alpha_vectors(n - 1)[first:]:
+    for alpha in alpha_vectors(n - 1):
         spectra += leaf_spectra(_advance(state, alpha), finals)
-    return spectra[skip:]
+    return spectra
 
 
 def _answer(fn, task) -> bytes:
@@ -180,19 +183,6 @@ def _serve(conn, fn, tasks, parent_ends) -> None:
             conn.send_bytes(_answer(fn, task))
     except (EOFError, ConnectionError):
         return
-
-
-def _sweep_tasks(n: int, start: int = 0) -> list[tuple]:
-    """Tasks (n, prefix, base, start) of a sweep from index start, in index
-    order: one per prefix of max(n-2, 0) alphas, that is the subtree below
-    one level-(n-1) state, holding 2^(2n-3) sequences for n >= 2."""
-    depth = max(n - 2, 0)
-    sub = num_sequences(n) // num_sequences(depth)
-    return [
-        (n, prefix, i * sub, start)
-        for i, prefix in enumerate(all_sequences(depth))
-        if (i + 1) * sub > start
-    ]
 
 
 def _ordered_map(fn, tasks: list, workers: int) -> Iterator:
@@ -255,36 +245,37 @@ def _ordered_map(fn, tasks: list, workers: int) -> Iterator:
             conn.close()
 
 
-@cache
-def _task_tails(n: int) -> tuple[ParameterSequence, ...]:
-    """The alphas after a sweep task's prefix, one tuple per sequence."""
-    return tuple(product(*map(alpha_vectors, range(max(n - 1, 1), n + 1))))
-
-
-def _records(task, spectra: list[dict[int, int]]) -> Iterator:
-    """The records (index, sequence, spectrum) of a task's answer, named
-    from the task; an answer whose length is not the task's sequence
-    count from start on raises ConstructionError."""
-    n, prefix, base, start = task
-    lo = max(start, base)
-    tails = _task_tails(n)[lo - base:]
-    if len(spectra) != len(tails):
+def _records(
+    n: int, prefix: ParameterSequence, base: int, spectra: list[dict[int, int]]
+) -> Iterator:
+    """The records (index, sequence, spectrum) of the sweep task below
+    prefix, whose first sequence has index base; an answer whose length is
+    not the task's sequence count raises ConstructionError."""
+    depth = len(prefix)
+    size = num_sequences(n) // num_sequences(depth)
+    if len(spectra) != size:
         raise ConstructionError(
-            f"sweep task at {base}: {len(spectra)} spectra for {len(tails)} sequences"
+            f"sweep task at {base}: {len(spectra)} spectra for {size} sequences"
         )
-    return zip(count(lo), map(prefix.__add__, tails), spectra)
+    tails = product(*map(alpha_vectors, range(depth + 1, n + 1)))
+    return zip(count(base), map(prefix.__add__, tails), spectra)
 
 
 def iter_exhaustive_parallel(
     n: int, workers: int, start: int = 0
 ) -> Iterator[tuple[int, ParameterSequence, dict[int, int]]]:
     """Same stream as iter_exhaustive: _ordered_map over the sweep tasks,
-    whatever the number of workers, each answer named by _records."""
-    tasks = _sweep_tasks(n, start)
-    answers = _ordered_map(_worker_sweep, tasks, workers)
+    one per prefix of max(n-2, 0) alphas, from the one holding start,
+    whatever the number of workers; each answer is named by _records, and
+    the first one's records before start are dropped here."""
+    depth = max(n - 2, 0)
+    size = num_sequences(n) // num_sequences(depth)
+    first = start // size
+    prefixes = all_sequences(depth)[first:]
+    answers = _ordered_map(_worker_sweep, [(n, prefix) for prefix in prefixes], workers)
     try:
-        for task, spectra in zip(tasks, answers):
-            yield from _records(task, spectra)
+        for base, prefix, spectra in zip(count(first * size, size), prefixes, answers):
+            yield from islice(_records(n, prefix, base, spectra), max(start - base, 0), None)
             del spectra  # not held while the next answer is awaited
     finally:
         answers.close()

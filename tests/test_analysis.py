@@ -191,11 +191,23 @@ def test_verify_failures_match_the_set_based_check():
                 (first[:2] + (first[2] | 2 << 2 * n,) + first[3:],) + rest,  # too long
                 (first[:2] + ((1 << 300) - 1,) + first[3:],) + rest,  # 300 bits
                 ((0,) + first[1:] + (0,),) + rest,  # wrong weight, visited twice
-                tf.cycles + ((),),  # empty cycle
             ]
             for cycles in cases:
                 broken = TwoFactor(n, s, cycles)
                 assert verify_two_factor(broken).failures == _reference_failures(broken)
+
+
+def test_verify_rejects_an_empty_cycle():
+    # the set-based check passed an empty cycle: its length 0 is divisible
+    # by 4n+2 and it adds nothing to the coverage count
+    for n in range(1, 4):
+        for s in all_sequences(n):
+            tf = build(s)
+            last = TwoFactor(n, s, tf.cycles + ((),))
+            assert verify_two_factor(last).failures == [f"cycle {len(tf.cycles)}: empty"]
+            first = TwoFactor(n, s, ((),) + tf.cycles)
+            assert verify_two_factor(first).failures == ["cycle 0: empty"]
+            assert not verify_two_factor(first).ok
 
 
 def test_beta_examples():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from functools import partial
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,6 @@ from midlayer.search import (
     SearchJob,
     _answer,
     _records,
-    _sweep_tasks,
     _worker_sweep,
     all_sequences,
     alpha_vectors,
@@ -60,10 +60,11 @@ def test_exhaustive_resume_matches_full_run():
 @pytest.mark.deadline(20)
 def test_parallel_stream_equals_serial():
     # n=5 has 8 tasks of 128 records: starts at the first record, inside
-    # the first task, inside a later one and at the last record
+    # the first task, on both sides of a task boundary, inside a later
+    # task, at the last record and at the end
     serial = list(iter_exhaustive(5))
     for workers in (2, 3):
-        for start in (0, 1, 300, 1023):
+        for start in (0, 1, 127, 128, 300, 1023, 1024):
             got = list(iter_exhaustive_parallel(5, workers, start=start))
             assert got == serial[start:]
 
@@ -244,38 +245,56 @@ def test_exhaustive_checkpoint_is_bounded_by_the_sequence_count(tmp_path):
     assert run_search(job).evaluated == 2
 
 
-def test_parallel_tasks_are_bounded():
-    # one task per level-(n-1) state; a task answers with spectra, which
-    # the naming step turns into the task's records
+def _listed_tasks(monkeypatch, n, start=0):
+    """The tasks iter_exhaustive_parallel(n, 1, start) hands to
+    _ordered_map, none of them run."""
+    listed = []
+
+    def listing(fn, tasks, workers):
+        listed.extend(tasks)
+        yield from ()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_ordered_map", listing)
+        assert list(iter_exhaustive_parallel(n, 1, start)) == []
+    return listed
+
+
+def test_parallel_tasks_are_bounded(monkeypatch):
+    # one task (n, prefix) per level-(n-1) state; a task answers with
+    # spectra, which the naming step turns into the task's records
     for n in range(1, 6):
         serial = list(iter_exhaustive(n))
         total = len(serial)
         assert [(idx, seq) for idx, seq, _ in serial] == list(enumerate(all_sequences(n)))
+        size = max(2 ** (2 * n - 3), 1)
         for start in sorted({0, 1, total // 3, total - 1}):
-            tasks = _sweep_tasks(n, start)
+            tasks = _listed_tasks(monkeypatch, n, start)
             chunks = [_worker_sweep(task) for task in tasks]
-            named = [rec for task, chunk in zip(tasks, chunks) for rec in _records(task, chunk)]
-            assert named == serial[start:]
+            base = start // size * size
+            named = [
+                rec
+                for i, ((_, prefix), chunk) in enumerate(zip(tasks, chunks))
+                for rec in _records(n, prefix, base + i * size, chunk)
+            ]
+            assert named == serial[base:]
             assert max(map(len, chunks), default=0) <= max(2 ** (2 * n - 3), 1)
     # at n=7: 1024 subtrees of 2048 sequences, read from the tasks alone
-    tasks = _sweep_tasks(7)
+    tasks = _listed_tasks(monkeypatch, 7)
     assert len(tasks) == 1024
-    assert [base for _, _, base, _ in tasks] == [i * 2048 for i in range(1024)]
-    assert [prefix for _, prefix, _, _ in tasks] == all_sequences(5)
+    assert tasks == [(7, prefix) for prefix in all_sequences(5)]
 
 
 def test_answers_are_spectra_only():
-    # every n=5 answer, from a whole sweep and from a start inside a task,
-    # is a list of {length: count} dicts, one per sequence of its task
-    for start in (0, 300):
-        for task in _sweep_tasks(5, start):
-            _, _, base, _ = task
-            answer = pickle.loads(_answer(_worker_sweep, task))
-            assert type(answer) is list
-            assert len(answer) == base + 2**7 - max(start, base)
-            for sp in answer:
-                assert type(sp) is dict
-                assert all(type(k) is int and type(v) is int for k, v in sp.items())
+    # every n=5 answer is a list of {length: count} dicts, one per
+    # sequence of its task, wherever a sweep starts
+    for prefix in all_sequences(3):
+        answer = pickle.loads(_answer(_worker_sweep, (5, prefix)))
+        assert type(answer) is list
+        assert len(answer) == 2**7
+        for sp in answer:
+            assert type(sp) is dict
+            assert all(type(k) is int and type(v) is int for k, v in sp.items())
 
 
 def _short_sweep(task):
@@ -303,7 +322,7 @@ def test_short_answer_is_a_construction_error(monkeypatch, capsys):
 def _logged_sweep(log, task):
     records = _worker_sweep(task)
     with open(log, "a", encoding="utf-8") as fh:
-        fh.write(f"{task[2]}\n")
+        fh.write(f"{task[1]}\n")
     return records
 
 
@@ -330,7 +349,7 @@ def test_answers_larger_than_half_the_socket_buffer():
     # two answers in flight do not both fit in its pipe; from 5 records
     # before those three tasks
     start = 2**21 - 3 * 2048 - 5
-    tasks = _sweep_tasks(7, start)
+    tasks = [(7, prefix) for prefix in all_sequences(5)[start // 2048 :]]
     assert len(tasks) == 4
     for task in tasks[1:]:
         assert len(_answer(_worker_sweep, task)) > 212_992 // 2
@@ -400,7 +419,7 @@ def test_sweep_workers_exit_when_the_parent_dies():
 
 
 def _dying_sweep(task):
-    if task[2]:  # every task but the first
+    if any(map(any, task[1])):  # every task but the first
         os._exit(7)
     return _worker_sweep(task)
 
@@ -426,9 +445,9 @@ def test_worker_death_raises_child_process_error(monkeypatch, capsys):
 
 
 def test_n7_task_is_one_level_6_subtree():
-    task = _sweep_tasks(7)[517]
-    _, prefix, base, _ = task
-    records = list(_records(task, _worker_sweep(task)))
+    prefix, base = all_sequences(5)[517], 517 * 2048
+    records = list(_records(7, prefix, base, _worker_sweep((7, prefix))))
+    assert records == list(islice(iter_exhaustive(7, start=base), 2048))
     assert [idx for idx, _, _ in records] == list(range(base, base + 2048))
     assert all(seq[:5] == prefix for _, seq, _ in records)
 
