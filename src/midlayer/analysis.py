@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from itertools import chain
 from math import comb
 from operator import xor
+from typing import Iterable, Sequence
 
 from . import lattice, trees
 from .bitcube import AlphaVector, format_bits, format_sequence, tau_alpha
-from .construct import TwoFactor, build, canonical_cycle
+from .construct import TwoFactor, build
 
 
 class AnalysisError(Exception):
@@ -138,10 +139,10 @@ def cycle_tree_class(cycle: tuple[int, ...], n: int) -> str:
     return min(trees.dyck_word(t) for t in cls)
 
 
-def edge_set(tf: TwoFactor) -> frozenset[tuple[int, int]]:
-    """Undirected edge set; two-factor equality is equality of these."""
+def edge_set(cycles: Iterable[Sequence[int]]) -> frozenset[tuple[int, int]]:
+    """Undirected edge set of cycles; two-factor equality is equality of these."""
     edges = set()
-    for cycle in tf.cycles:
+    for cycle in cycles:
         for i, v in enumerate(cycle):
             u = cycle[i - 1]
             edges.add((u, v) if u < v else (v, u))
@@ -154,22 +155,18 @@ def distinct_check(n: int, seqs) -> bool:
     for seq in seqs:
         if len(seq) != n:
             raise ValueError(f"sequence {format_sequence(seq)} does not target n={n}")
-        es = edge_set(build(seq))
+        es = edge_set(build(seq).cycles)
         if es in seen:
             return False
         seen.add(es)
     return True
 
 
-def tau_image(tf: TwoFactor, alpha_prime: AlphaVector) -> TwoFactor:
-    """Vertex-wise image under the permute-and-invert automorphism."""
+def tau_image(tf: TwoFactor, alpha_prime: AlphaVector) -> frozenset[tuple[int, int]]:
+    """Edge set of the image under the permute-and-invert automorphism."""
     if len(alpha_prime) != tf.n - 1:
         raise ValueError(f"alpha has length {len(alpha_prime)}, expected {tf.n - 1}")
-    cycles = sorted(
-        canonical_cycle([tau_alpha(alpha_prime, v) for v in c])
-        for c in tf.cycles
-    )
-    return TwoFactor(tf.n, tf.alphas, tuple(cycles))
+    return edge_set([tau_alpha(alpha_prime, v) for v in c] for c in tf.cycles)
 
 
 def spectrum_json(tf: TwoFactor) -> dict:

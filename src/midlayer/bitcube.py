@@ -18,11 +18,6 @@ AlphaVector = tuple[int, ...]
 ParameterSequence = tuple[AlphaVector, ...]
 
 
-def weight(x: int) -> int:
-    """Number of 1-bits."""
-    return x.bit_count()
-
-
 # _REV8[b] is the byte b with its 8 bits in reverse order.
 _REV8 = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
 

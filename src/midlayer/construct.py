@@ -14,10 +14,12 @@ suffixed with 1; assembly therefore reduces to a permutation on the
 middle family and two slices per block, of the family and of its
 reversed image, and the cycle lengths to the orbit sizes of that
 permutation.  One walk (_orbits) gives the orbits, by start and size, to
-assembly and to the leaf.  f_alpha is a bit permutation followed by a
-complement, so it is affine over GF(2) and splits into one table per half
-of the word: one evaluator (_images) gives every image vertex as two
-lookups, and f_alpha itself is called only to fill its tables.
+assembly, which walks the paths in order of their first vertices so that
+each cycle comes out canonical, and to the leaf.  f_alpha is a bit
+permutation followed by a complement, so it is affine over GF(2) and
+splits into one table per half of the word: one evaluator (_images)
+gives every image vertex as two lookups, and f_alpha itself is called
+only to fill its tables.
 
 That permutation reads only the first and last vertex of each path, and
 only the last vertices depend on the alphas: first and second vertices are
@@ -221,23 +223,16 @@ def _successors(
     return succ, phat
 
 
-def canonical_cycle(verts: list[int]) -> tuple[int, ...]:
-    """Rotate to the minimal vertex and orient toward its smaller neighbor."""
-    i = verts.index(min(verts))
-    r = verts[i:] + verts[:i]
-    if len(r) > 2 and r[-1] < r[1]:
-        r = [r[0]] + r[:0:-1]
-    return tuple(r)
-
-
-def _orbits(w: list[int]) -> Iterator[tuple[int, int]]:
-    """(start, size) for each orbit of the permutation w, by smallest
-    index.  Each orbit is marked in w itself, with the value len(w), so w
-    is consumed: a walk that reads a mark other than its start's steps off
-    the end of w, which happens exactly when w is not a permutation."""
+def _orbits(w: list[int], starts: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(start, size) for each orbit of the permutation w, in the order of
+    starts, an ordering of w's indices: an orbit starts at, and comes out
+    at, the first of its indices in starts.  Each orbit is marked in w
+    itself, with the value len(w), so w is consumed: a walk that reads a
+    mark other than its start's steps off the end of w, which happens
+    exactly when w is not a permutation."""
     mark = len(w)
     try:
-        for start in range(mark):
+        for start in starts:
             j = w[start]
             if j == mark:
                 continue
@@ -275,9 +270,12 @@ def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFact
     """Glue the middle family, its f_alpha image, and the endpoint matching
     into the 2-factor of the middle layer of the (2n+1)-cube.
 
-    Each cycle is written once, already canonical: it starts at the path of
-    its orbit with the smallest first vertex and runs forward.  That is
-    canonical_cycle's rotation and orientation, because
+    Each cycle is written once, already in TwoFactor's canonical form.
+    The walk takes the paths in order of their first vertices, so each
+    orbit starts at its path with the smallest first vertex and the
+    orbits come out in order of it; each cycle runs forward from there.
+    That start is the cycle's smallest vertex, and its second vertex the
+    smaller of the two neighbors, because
     - every path's first vertex is its strict minimum, by induction over
       _family's rule: the level-1 path is 01, 11, 10; a shifted copy ORs
       the same bits above 2n into every vertex; and an arc starts at the
@@ -298,13 +296,9 @@ def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFact
     rev = _images(alpha, 1 << (2 * n), reversed(flat))
     size = len(flat)
     starts = [0, *ends[:-1]]
+    order = sorted(range(len(succ)), key=firsts.__getitem__)
     cycles = []
-    for j, blocks in _orbits(list(succ)):
-        i = j
-        for _ in range(blocks - 1):
-            i = succ[i]
-            if firsts[i] < firsts[j]:
-                j = i
+    for j, blocks in _orbits(list(succ), order):
         verts: list[int] = []
         for _ in range(blocks):
             h = phat[j]
@@ -312,7 +306,6 @@ def assemble_two_factor(state: ConstructionState, alpha: AlphaVector) -> TwoFact
             verts += rev[size - ends[h] : size - starts[h]]
             j = succ[j]
         cycles.append(tuple(verts))
-    cycles.sort()
     return TwoFactor(n, state.alpha_prefix + (alpha,), tuple(cycles))
 
 
@@ -342,7 +335,7 @@ def leaf_spectra(
             continue
         fb, lb = _alpha_tables(n, alpha)
         spectrum: dict[int, int] = {}
-        for _, size in _orbits([inv[fb[at[r]]] for r in lb]):
+        for _, size in _orbits([inv[fb[at[r]]] for r in lb], range(len(lb))):
             length = unit * size
             spectrum[length] = spectrum.get(length, 0) + 1
         walked[alpha] = spectrum

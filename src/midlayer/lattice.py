@@ -40,13 +40,6 @@ _ORACLE_MAX = 24
 
 
 @dataclass(frozen=True)
-class PathClass:
-    tag: str
-    n: int
-    k: int
-
-
-@dataclass(frozen=True)
 class Decomposition:
     ell: Path
     r: Path
@@ -79,22 +72,20 @@ def heights(p: Path) -> list[int]:
     return hs
 
 
-def classify(p: Path) -> PathClass:
-    """Classify p, or return the NONE tag for paths fitting no class."""
+def classify(p: Path) -> str:
+    """The tag of p's class, or NONE for paths fitting no class."""
     hs = heights(p)
-    k = sum(1 for s in p if s == UP)
     lo = min(hs)
     if lo >= 0:
-        tag = D_EQ0 if any(h == 0 for h in hs[1:]) else D_GT0
-        return PathClass(tag, len(p), k)
+        return D_EQ0 if any(h == 0 for h in hs[1:]) else D_GT0
     if lo == -1 and hs.count(-1) == 1:
-        return PathClass(D_MINUS, len(p), k)
-    return PathClass(NONE, len(p), k)
+        return D_MINUS
+    return NONE
 
 
 def decompose(p: Path) -> Decomposition:
     """Split p into the two subpaths around its class-specific pivot."""
-    tag = classify(p).tag
+    tag = classify(p)
     hs = heights(p)
     if tag == D_EQ0:
         x = next(i for i in range(1, len(hs)) if hs[i] == 0)
@@ -151,7 +142,7 @@ def _sweep(n: int, k: int) -> dict[str, array]:
     out: dict[str, array] = {}
     for ups in combinations(range(n), k):
         code = sum(1 << i for i in ups)
-        out.setdefault(classify(phi(code, n)).tag, array("L")).append(code)
+        out.setdefault(classify(phi(code, n)), array("L")).append(code)
     return out
 
 

@@ -19,7 +19,7 @@ from itertools import islice, product
 from random import Random
 
 from . import analysis, construct, lattice, trees
-from .bitcube import f_alpha, weight
+from .bitcube import f_alpha
 from .construct import state_for_prefix
 from .lattice import D_EQ0, D_GT0, D_MINUS, DOWN, UP, enumerate_class
 from .search import all_sequences, alpha_vectors, iter_exhaustive, iter_random, random_sequence
@@ -263,10 +263,14 @@ def suite_paths(level: int) -> SuiteResult:
     res = SuiteResult("paths")
     for n in range(1, level + 1):
         m = 2 * n
+        layers: list[set[int]] = [set() for _ in range(m + 1)]  # by weight
+        for x in range(1 << m):
+            layers[x.bit_count()].add(x)
         length_multisets: dict[int, Counter] = {}
         for si, state in enumerate(_state_sample(n)):
             label = f"n={n} state {si}"
-            for k, fam in state.families.items():
+            fams = state.families
+            for k, fam in fams.items():
                 F, S, L = _fsl_sets(state, k)
                 img = lambda vs: {lattice.phi(v, m) for v in vs}
                 res.add(
@@ -294,21 +298,15 @@ def suite_paths(level: int) -> SuiteResult:
             # coverage: the middle family spans both its levels; every
             # higher family misses below exactly the second vertices one
             # family down
-            vs = {v for p in state.families[n] for v in p}
-            expect = {x for x in range(1 << m) if weight(x) in (n, n + 1)}
-            res.add(f"{label} middle coverage", vs == expect)
-            for k in sorted(state.families):
+            for k in sorted(fams):
+                vs = {v for p in fams[k] for v in p}
                 if k == n:
+                    res.add(f"{label} middle coverage", vs == layers[n] | layers[n + 1])
                     continue
-                fam = state.families[k]
-                upper = {v for p in fam for v in p if weight(v) == k + 1}
-                lower = {v for p in fam for v in p if weight(v) == k}
-                missing = {x for x in range(1 << m) if weight(x) == k} - lower
                 _, S_below, _ = _fsl_sets(state, k - 1)
                 res.add(
                     f"{label} upper coverage k={k}",
-                    upper == {x for x in range(1 << m) if weight(x) == k + 1}
-                    and missing == S_below,
+                    layers[k + 1] <= vs and layers[k] - vs == S_below,
                 )
 
         # the map built from each final alpha keeps the endpoint sets fixed
@@ -363,11 +361,10 @@ def suite_tau(level: int) -> SuiteResult:
         bad = []
         for prefix in all_sequences(n - 1):
             state = state_for_prefix(prefix)
-            for alpha in alpha_vectors(n):
-                tf = construct.assemble_two_factor(state, alpha)
-                other = construct.assemble_two_factor(state, alpha[::-1])
-                image = analysis.tau_image(tf, alpha[::-1])
-                if analysis.edge_set(image) != analysis.edge_set(other):
+            tfs = {a: construct.assemble_two_factor(state, a) for a in alpha_vectors(n)}
+            edges = {a: analysis.edge_set(tf.cycles) for a, tf in tfs.items()}
+            for alpha, tf in tfs.items():
+                if analysis.tau_image(tf, alpha[::-1]) != edges[alpha[::-1]]:
                     bad.append(f"{prefix}+{alpha}")
         res.add(f"n={n} reversed-pair automorphism", not bad, "; ".join(bad[:3]))
     return res

@@ -270,12 +270,9 @@ def test_cycle_tree_class_rejects_mixed_cycle():
 
 def test_edge_set_orientation_free():
     tf = build(seq(",0"))
-    es = edge_set(tf)
+    es = edge_set(tf.cycles)
     assert len(es) == sum(len(c) for c in tf.cycles)
-    reversed_tf = TwoFactor(
-        tf.n, tf.alphas, tuple(c[:1] + c[1:][::-1] for c in tf.cycles)
-    )
-    assert edge_set(reversed_tf) == es
+    assert edge_set(c[:1] + c[1:][::-1] for c in tf.cycles) == es
 
 
 def test_distinct_check():
@@ -288,15 +285,15 @@ def test_distinct_check():
 
 def test_tau_image_identity_cases():
     tf = build(seq(",0"))
-    assert edge_set(tau_image(tf, (0,))) == edge_set(tf)
+    assert tau_image(tf, (0,)) == edge_set(tf.cycles)
     tf1 = build(seq(""))
-    assert edge_set(tau_image(tf1, ())) == edge_set(tf1)
+    assert tau_image(tf1, ()) == edge_set(tf1.cycles)
 
 
 def test_tau_image_reversed_pair():
     tf = build(seq(",0,10"))
     other = build(seq(",0,01"))
-    assert edge_set(tau_image(tf, (0, 1))) == edge_set(other)
+    assert tau_image(tf, (0, 1)) == edge_set(other.cycles)
 
 
 def test_tau_image_matches_table_assembly_sampled():
@@ -308,7 +305,7 @@ def test_tau_image_matches_table_assembly_sampled():
             state = state_for_prefix(random_sequence(rng, n - 1))
             alpha = tuple(rng.randint(0, 1) for _ in range(n - 1))
             image = tau_image(assemble_two_factor(state, alpha), alpha[::-1])
-            assert edge_set(image) == edge_set(assemble_two_factor(state, alpha[::-1]))
+            assert image == edge_set(assemble_two_factor(state, alpha[::-1]).cycles)
 
 
 def test_tau_image_level_check():

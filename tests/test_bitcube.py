@@ -13,7 +13,6 @@ from midlayer.bitcube import (
     parse_bits,
     parse_sequence,
     tau_alpha,
-    weight,
 )
 
 import pytest
@@ -45,11 +44,6 @@ def test_parse_bits_rejects_junk():
         parse_bits("10x")
 
 
-def test_weight():
-    assert weight(bits("10110")) == 3
-    assert weight(0) == 0
-
-
 def test_f_alpha_examples():
     assert f_alpha((), bits("10")) == bits("10")
     assert f_alpha((0,), bits("1100")) == bits("1100")
@@ -58,7 +52,7 @@ def test_f_alpha_examples():
 
 def test_f_alpha_weight_map():
     for x in range(16):
-        assert weight(f_alpha((1,), x)) == 4 - weight(x)
+        assert f_alpha((1,), x).bit_count() == 4 - x.bit_count()
 
 
 def test_f_alpha_reversed_composition_is_identity():
@@ -73,7 +67,7 @@ def test_f_alpha_reversed_composition_is_identity():
 def test_f_alpha_is_adjacency_preserving():
     for n in (2, 3):
         alpha = (1,) * (n - 1)
-        verts = [x for x in range(1 << (2 * n)) if weight(x) in (n, n + 1)]
+        verts = [x for x in range(1 << (2 * n)) if x.bit_count() in (n, n + 1)]
         for u in verts:
             for v in verts:
                 assert is_adjacent(u, v) == is_adjacent(
@@ -90,7 +84,7 @@ def test_tau_alpha_examples():
 def test_tau_alpha_preserves_adjacency():
     n = 2
     alpha = (1,)
-    verts = [x for x in range(1 << (2 * n + 1)) if weight(x) in (n, n + 1)]
+    verts = [x for x in range(1 << (2 * n + 1)) if x.bit_count() in (n, n + 1)]
     for u in verts:
         for v in verts:
             assert is_adjacent(u, v) == is_adjacent(

@@ -1,6 +1,6 @@
 import sys
 from array import array
-from itertools import product
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -19,7 +19,6 @@ from midlayer.construct import (
     _successors,
     assemble_two_factor,
     build,
-    canonical_cycle,
     cycle_spectrum,
     leaf_spectra,
     state_for_prefix,
@@ -46,6 +45,16 @@ def test_base_state():
 def test_base_state_fsl():
     F, S, L = _fsl_sets(state_for_prefix(()), 1)
     assert (F, S, L) == ({bits("10")}, {bits("11")}, {bits("01")})
+
+
+def canonical_cycle(verts):
+    """The reference for TwoFactor's canonical form: rotate to the minimal
+    vertex and orient toward its smaller neighbor."""
+    i = verts.index(min(verts))
+    r = verts[i:] + verts[:i]
+    if len(r) > 2 and r[-1] < r[1]:
+        r = [r[0]] + r[:0:-1]
+    return tuple(r)
 
 
 def test_canonical_cycle():
@@ -492,10 +501,20 @@ def reference_orbits(succ):
 
 
 def test_orbits_match_the_visited_list_walk():
-    # the marking walk gives each orbit as its smallest index and its size
+    # the marking walk gives each orbit once, as the first of its indices
+    # in the start order and its size, in that order
     def check(w):
-        expected = [(orbit[0], len(orbit)) for orbit in reference_orbits(w)]
-        assert list(_orbits(list(w))) == expected
+        orbits = list(reference_orbits(w))
+        expected = [(orbit[0], len(orbit)) for orbit in orbits]
+        assert list(_orbits(list(w), range(len(w)))) == expected
+        orbit_of = {i: orbit for orbit in orbits for i in orbit}
+        starts = list(range(len(w)))
+        rng.shuffle(starts)
+        first = {}
+        for i in starts:
+            first.setdefault(orbit_of[i][0], i)
+        expected = [(i, len(orbit_of[i])) for i in first.values()]
+        assert list(_orbits(list(w), starts)) == expected
 
     rng = Random(23)
     for w in ([], [0], list(range(9)), [*range(1, 50), 0]):
@@ -506,17 +525,21 @@ def test_orbits_match_the_visited_list_walk():
             rng.shuffle(w)
             check(w)
     # a map with a repeated value is no permutation: some walk meets a
-    # marked index other than its start
+    # marked index other than its start, whatever the start order
     for w in ([0, 0], [1, 1], [1, 2, 1], [2, 0, 0]):
         with pytest.raises(ConstructionError, match="did not close"):
             list(reference_orbits(w))
-        with pytest.raises(ConstructionError, match="did not close"):
-            list(_orbits(w))
+        for starts in permutations(range(len(w))):
+            with pytest.raises(ConstructionError, match="did not close"):
+                list(_orbits(list(w), starts))
     for _ in range(50):
         w = [rng.randrange(6) for _ in range(6)]
         if sorted(w) != list(range(6)):
-            with pytest.raises(ConstructionError, match="did not close"):
-                list(_orbits(w))
+            starts = list(range(6))
+            for _ in range(2):
+                with pytest.raises(ConstructionError, match="did not close"):
+                    list(_orbits(list(w), starts))
+                rng.shuffle(starts)
 
 
 def one_walk_per_alpha(state, alphas):

@@ -54,16 +54,11 @@ def test_heights():
 
 
 def test_classify_examples():
-    assert classify((U, D)).tag == D_EQ0
-    assert classify((U, U)).tag == D_GT0
-    assert classify((D, U)).tag == D_MINUS
-    assert classify((D, D)).tag == NONE
-    assert classify((D, U, D, U)).tag == NONE  # touches -1 twice
-
-
-def test_classify_counts_upsteps():
-    c = classify((U, D, U, U))
-    assert (c.n, c.k) == (4, 3)
+    assert classify((U, D)) == D_EQ0
+    assert classify((U, U)) == D_GT0
+    assert classify((D, U)) == D_MINUS
+    assert classify((D, D)) == NONE
+    assert classify((D, U, D, U)) == NONE  # touches -1 twice
 
 
 def test_decompose_examples():
@@ -133,8 +128,8 @@ def test_sweep_matches_direct_classification():
     for m in range(0, 15):
         direct = {}
         for code in range(1 << m):
-            c = classify(phi(code, m))
-            direct.setdefault((c.tag, c.k), set()).add(code)
+            key = (classify(phi(code, m)), code.bit_count())
+            direct.setdefault(key, set()).add(code)
         groups = [
             ((tag, k), codes)
             for k in range(m + 1)

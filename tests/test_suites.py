@@ -95,6 +95,16 @@ def test_tau_suite_small():
     _assert_pinned("tau")
 
 
+def test_tau_suite_fails_on_a_wrong_automorphism(monkeypatch):
+    # with the identity in place of tau_alpha, each 2-factor would equal its
+    # twin; that holds only where every final alpha is a palindrome, n <= 2
+    monkeypatch.setattr(analysis, "tau_alpha", lambda alpha, v: v)
+    res = suites.suite_tau(3)
+    assert [name for name, passed, _ in res.checks if not passed] == [
+        "n=3 reversed-pair automorphism"
+    ]
+
+
 def test_distinct_suite_small():
     _assert_pinned("distinct")
 
