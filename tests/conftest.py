@@ -34,14 +34,19 @@ def _deadline(request):
 
 @pytest.fixture
 def fresh_tables():
-    # a test that spoils what the construction's per-level and per-alpha
-    # tables are built from starts and ends with both caches empty, so no
-    # cached table hides its refusal and no spoiled table outlives it
+    # a test that spoils what the construction's cached tables are built
+    # from starts and ends with every cache of construct empty, so no
+    # cached table hides its refusal and no spoiled table outlives it;
+    # the caches are found by their cache_clear, so a new one is too
     from midlayer import construct
 
-    tables = (construct._level_tables, construct._alpha_tables)
-    for table in tables:
+    caches = [
+        obj
+        for obj in vars(construct).values()
+        if hasattr(obj, "cache_clear") and obj.__module__ == construct.__name__
+    ]
+    for table in caches:
         table.cache_clear()
     yield
-    for table in tables:
+    for table in caches:
         table.cache_clear()

@@ -1,6 +1,6 @@
 import sys
 from array import array
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from random import Random
 
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from midlayer import construct, lattice
 from midlayer.analysis import spectrum, verify_two_factor
-from midlayer.bitcube import f_alpha, parse_bits, parse_sequence
+from midlayer.bitcube import _swap_pairs, f_alpha, pair_mask, parse_bits, parse_sequence
 from midlayer.construct import (
     ConstructionError,
     _advance,
@@ -23,7 +23,7 @@ from midlayer.construct import (
     leaf_spectra,
     state_for_prefix,
 )
-from midlayer.search import alpha_vectors, random_sequence
+from midlayer.search import alpha_vectors, iter_random, random_sequence
 from midlayer.suites import _fsl_sets
 
 
@@ -236,7 +236,8 @@ def test_alpha_tables_match_f_alpha():
     # fb finds the middle path that starts at f_alpha of each first vertex,
     # lb ranks the inverse of f_alpha on each D_MINUS word; only the
     # all-zero and the all-one alpha are filled from f_alpha's image
-    # tables, every other alpha is composed from them by pair swaps
+    # tables, every other alpha is composed by pair swaps from the nearest
+    # alpha whose tables the level already holds
     def check(n, alpha):
         dyck = construct._frame(n, n)[0]
         lasts = sorted(lattice.dminus_bitstrings(2 * n))
@@ -254,13 +255,73 @@ def test_alpha_tables_match_f_alpha():
             for i in range(n - 1):
                 check(n, base[:i] + (1 - bit,) + base[i + 1 :])
     # entries count by truth value, as bitcube.pair_mask reads them, whether the
-    # tables are composed from the all-zero or the all-one alpha or filled
+    # tables are composed or filled
     for alpha in ((2, 0, True, 0), (2, 1, True, 0), (2, 2, True, 1)):
         assert _alpha_tables(5, alpha) == _alpha_tables(5, tuple(map(bool, alpha)))
     rng = Random(6)
     for n in range(7, 11):
         for _ in range(3):
             check(n, tuple(rng.randint(0, 1) for _ in range(n - 1)))
+
+
+def check_alpha_tables(n, alpha):
+    dyck = construct._frame(n, n)[0]
+    lasts = sorted(lattice.dminus_bitstrings(2 * n))
+    fb, lb = _alpha_tables(n, alpha)
+    assert [dyck[j] for j in fb] == [f_alpha(alpha, x) for x in dyck], alpha
+    assert [lasts[r] for r in lb] == [f_alpha(alpha[::-1], x) for x in lasts], alpha
+
+
+@pytest.mark.parametrize("order", ["index", "reverse", "shuffle"])
+def test_alpha_tables_do_not_depend_on_the_build_order(order, fresh_tables):
+    # each new alpha is composed from the nearest alpha already built, so
+    # which alphas came before it must not change its tables
+    key = (2, 0, True, 0)  # its bool form shares its entry
+    assert _alpha_tables(5, key) is _alpha_tables(5, tuple(map(bool, key)))
+    rng = Random(17)
+    for n in range(1, 7):
+        alphas = list(alpha_vectors(n))
+        if order == "reverse":
+            alphas.reverse()
+        elif order == "shuffle":
+            rng.shuffle(alphas)
+        for alpha in alphas:
+            check_alpha_tables(n, alpha)
+
+
+@pytest.mark.deadline(60)
+@pytest.mark.parametrize("n", range(7, 11))
+def test_alpha_tables_in_random_search_order(n, monkeypatch, fresh_tables):
+    # the alphas in the order iter_random asks for their tables: the
+    # levels of each sequence's prefix, then its final alpha
+    asked, real = [], construct._alpha_tables
+
+    def recording(level, alpha):
+        asked.append((level, alpha))
+        return real(level, alpha)
+
+    monkeypatch.setattr(construct, "_alpha_tables", recording)
+    list(islice(iter_random(n, seed=n), 12))
+    assert len({alpha for level, alpha in asked if level == n}) > 2
+    for level, alpha in dict.fromkeys(asked):
+        check_alpha_tables(level, alpha)
+
+
+def test_pair_swaps_match_the_words():
+    # half the pair swaps of a level record are computed from the words,
+    # the other half conjugated by the all-zero alpha's image; each must be
+    # the pair swap of its alpha entry on the words of its side
+    for n in range(2, 10):
+        firsts, _, (fswaps, _), (lswaps, _) = construct._level_tables(n)
+        units = [pair_mask((0,) * i + (1,) + (0,) * (n - 2 - i)) for i in range(n - 1)]
+        for words, swaps in (
+            (firsts, fswaps),
+            (sorted(lattice.dminus_bitstrings(2 * n)), lswaps),
+        ):
+            rank = {x: r for r, x in enumerate(words)}
+            assert [list(t) for t in swaps] == [
+                [rank[_swap_pairs(x, m)] for x in words] for m in units
+            ], n
 
 
 def test_image_tables_match_f_alpha():

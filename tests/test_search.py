@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 from types import SimpleNamespace
 
 import pytest
@@ -150,6 +150,17 @@ def test_wall_ms_counts_from_the_previous_evaluated_record(tmp_path, monkeypatch
     summary = run_search(SearchJob(n=4, target_counts=frozenset({1})), out_path=out)
     assert summary.evaluated > summary.written == 6
     assert [json.loads(l)["wall_ms"] for l in out.read_text().splitlines()] == [1.0] * 6
+
+
+def test_wall_ms_is_rounded_to_three_decimals(tmp_path, monkeypatch):
+    # a clock that advances 1.23456 ms per evaluated sequence
+    ticks = count()
+    monkeypatch.setattr(
+        search, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * 0.00123456)
+    )
+    out = tmp_path / "r.jsonl"
+    run_search(SearchJob(n=3, mode="random", seed=1, limit=3), out_path=out)
+    assert [json.loads(l)["wall_ms"] for l in out.read_text().splitlines()] == [1.235] * 3
 
 
 def test_run_search_appends(tmp_path):

@@ -11,7 +11,7 @@ import dataclasses
 from functools import cache
 from hashlib import sha256
 
-from midlayer import analysis, cli, lattice, suites
+from midlayer import analysis, cli, construct, lattice, suites
 from midlayer.suites import suite_lattice
 
 # (mode, n, budget, suite name) -> sha256 of
@@ -102,6 +102,26 @@ def test_tau_suite_fails_on_a_wrong_automorphism(monkeypatch):
     res = suites.suite_tau(3)
     assert [name for name, passed, _ in res.checks if not passed] == [
         "n=3 reversed-pair automorphism"
+    ]
+
+
+def test_paths_suite_fails_on_a_missing_vertex(monkeypatch):
+    # an interior vertex of the level-2 middle family repeats its
+    # predecessor, so the family keeps its path lengths and endpoints and
+    # loses one vertex, which only the middle coverage check sees
+    real = construct.ConstructionState.families
+
+    def spoiled(state):
+        fams = real.fget(state)
+        if state.n == 2:
+            j, p = next((j, p) for j, p in enumerate(fams[2]) if len(p) > 3)
+            fams[2] = fams[2][:j] + (p[:2] + p[1:2] + p[3:],) + fams[2][j + 1 :]
+        return fams
+
+    monkeypatch.setattr(construct.ConstructionState, "families", property(spoiled))
+    res = suites.suite_paths(3)
+    assert [name for name, passed, _ in res.checks if not passed] == [
+        "n=2 state 0 middle coverage"
     ]
 
 
