@@ -32,14 +32,13 @@ the ranks of the sorted D_MINUS words, in whose order each state keeps its
 path indices.  f_alpha is pi_alpha, a product of commuting pair swaps
 that each map both word sets onto themselves, followed by reverse and
 complement.  So one cached record per level (_level_tables) holds the
-first vertices, the ranks of the D_MINUS words and, per word set, the
-pair-swap ranks and the ranked images of the all-zero and the all-one
-alpha; reverse and complement carries each pair swap onto its mirror, so
-half the pair-swap ranks are the other half conjugated by the all-zero
-alpha's image.  One store per level (_alpha_store) keeps the tables of
-every alpha built so far, seeded with the two constant ones; a new alpha
-takes the tables of the nearest alpha there and gathers them once per
-differing entry through the pair-swap ranks.
+first vertices, the ranks of the D_MINUS words, per word set the
+pair-swap ranks, and a store of the tables of every alpha built so far,
+seeded with the ranked images of the all-zero alpha, which is reverse
+and complement alone.  That carries each pair swap onto its mirror, so
+half the pair-swap ranks are the other half conjugated by the seed.  A
+new alpha takes the tables of the nearest alpha in the store and gathers
+them once per differing entry through the pair-swap ranks.
 
 A state is its level step: the parent state, the alpha and the two
 permutations of the parent's middle family.  Its families, as last
@@ -148,22 +147,24 @@ class TwoFactor:
 
 @cache
 def _level_tables(n: int) -> tuple:
-    """The record of level n: firsts, the middle family's first vertices
-    (the frame's, checked to be the Dyck words of length 2n); rank, the
-    position of each D_MINUS word of length 2n (its last vertices) in
-    sorted order; and per word set, the first vertices then the sorted
-    D_MINUS words, (swaps, bases): per alpha index i, the rank of each word
-    with pair i+1 swapped, a permutation of the ranks, 16 bits through
-    level 11; and the rank of the f_alpha image of each word (_images) for
-    the all-zero and the all-one alpha.  A constant alpha is its own
-    reverse, so it serves both word sets.
+    """The record of level n, (firsts, rank, fswaps, lswaps, store):
+    firsts, the middle family's first vertices (the frame's, checked to be
+    the Dyck words of length 2n); rank, the position of each D_MINUS word
+    of length 2n (its last vertices) in sorted order; per word set, the
+    first vertices then the sorted D_MINUS words, the pair swaps: per
+    alpha index i, the rank of each word with pair i+1 swapped, a
+    permutation of the ranks, 16 bits through level 11; and store, the
+    alpha tables (_alpha_tables) built at level n by the alpha's
+    pair_mask, seeded with those of the all-zero alpha: per word set, the
+    rank of the f_alpha image of each word (_images).  The all-zero alpha
+    is its own reverse, so it serves both word sets.
 
     The swaps with i >= n-2-i are computed from the words
     (bitcube._swap_pairs inlined, m the pair's low bit).  Reverse and
     complement, the all-zero alpha's f_alpha, carries pair i+1 onto pair
     n-1-i and is an involution on each word set, so every other swap is
-    the one of index n-2-i conjugated by the all-zero base, one pass over
-    the ranks with no word arithmetic and no dict lookup."""
+    the one of index n-2-i conjugated by the all-zero alpha's ranks, one
+    pass over the ranks with no word arithmetic and no dict lookup."""
     dyck = lattice.dyck_bitstrings(2 * n)
     # the cached word objects, not new ints
     firsts = list(map(dict(zip(dyck, dyck)).get, _frame(n, n)[0]))
@@ -171,7 +172,7 @@ def _level_tables(n: int) -> tuple:
         raise ConstructionError(
             f"middle family at level {n} does not start at the Dyck words"
         )
-    consts = [(bit,) * (n - 1) for bit in (0, 1)]
+    zero = (0,) * (n - 1)
     upper = range((n - 1) // 2, n - 1)  # the i with i >= n-2-i
     sides = []
     for words in (firsts, sorted(lattice.dminus_bitstrings(2 * n))):
@@ -184,28 +185,17 @@ def _level_tables(n: int) -> tuple:
                 m = 2 << 2 * i
                 swaps[i] = array(code, [rank[x ^ ((x >> 1 ^ x) & m) * 3] for x in words])
             image = "f_alpha"
-            bases = tuple(
-                list(map(rank.__getitem__, _images(c, 0, words))) for c in consts
-            )
+            rc = list(map(rank.__getitem__, _images(zero, 0, words)))
         except KeyError as exc:
             raise ConstructionError(
                 f"{image} image {exc.args[0]} is not a family endpoint"
             ) from exc
-        rc = bases[0]
         for i in range(upper.start):
             mirror = swaps[n - 2 - i]
             swaps[i] = array(code, [rc[mirror[p]] for p in rc])
-        sides.append((tuple(swaps[i] for i in range(n - 1)), bases))
-    return firsts, rank, *sides  # rank of the last word set, D_MINUS
-
-
-@cache
-def _alpha_store(n: int) -> dict[int, tuple[list[int], list[int]]]:
-    """The alpha tables built at level n, by the alpha's pair_mask; seeded
-    with the level record's tables of the all-zero and the all-one alpha."""
-    _, _, (_, fbases), (_, lbases) = _level_tables(n)
-    ones = pair_mask((1,) * (n - 1))
-    return {0: (fbases[0], lbases[0]), ones: (fbases[1], lbases[1])}
+        sides.append((tuple(swaps[i] for i in range(n - 1)), rc))
+    (fswaps, fb), (lswaps, lb) = sides
+    return firsts, rank, fswaps, lswaps, {0: (fb, lb)}  # rank of the last word set, D_MINUS
 
 
 def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], list[int]]:
@@ -215,7 +205,7 @@ def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], list[int]]:
 
     f_alpha of alpha xor e_i is f_alpha after the pair swap pi_i, and the
     pair swaps commute, so a new alpha starts from the tables of the
-    nearest alpha that _alpha_store holds, the two constant alphas among
+    nearest alpha in the level record's store, the all-zero alpha among
     them, and, per entry i in which the two differ, gathers fb through
     pi_i and lb through pi_(n-2-i), entry i of alpha[::-1].  Entries count
     by truth value, as in bitcube.pair_mask, which keys the store.
@@ -224,19 +214,19 @@ def _alpha_tables(n: int, alpha: AlphaVector) -> tuple[list[int], list[int]]:
         raise ConstructionError(
             f"alpha has length {len(alpha)}, expected {n - 1}"
         )
-    store = _alpha_store(n)
+    store = _level_tables(n)[4]
     key = pair_mask(alpha)
     tables = store.get(key)
     if tables is not None:
         return tables
     near = min(store, key=lambda k: (k ^ key).bit_count())
     fb, lb = store[near]
-    _, _, (dyck, _), (dminus, _) = _level_tables(n)
+    _, _, fswaps, lswaps, _ = _level_tables(n)
     diff = near ^ key
     for i in range(n - 1):
         if diff >> 2 * i & 2:
-            fb = [fb[p] for p in dyck[i]]
-            lb = [lb[p] for p in dminus[n - 2 - i]]
+            fb = [fb[p] for p in fswaps[i]]
+            lb = [lb[p] for p in lswaps[n - 2 - i]]
     tables = store[key] = fb, lb
     return tables
 

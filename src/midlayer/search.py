@@ -46,8 +46,8 @@ EXHAUSTIVE_BOUND = 7
 # Largest level a random or targeted search accepts.  Memory grows about
 # 3x per level: the first three sequences take 62 MB at n=11 and 196 MB
 # at n=12, with the record that construct keeps once per level, 2(n-1) C_n
-# pair-swap ranks and 4 C_n base ranks (4.3 MB at n=11, built in about
-# 0.5 s with its lattice words and frame), and a long run reaches the alpha
+# pair-swap ranks and 2 C_n base ranks (3.4 MB at n=11, built in about
+# 0.3 s with its lattice words and frame), and a long run reaches the alpha
 # tables of all 2^(n-1) final alphas, kept in construct's per-level store,
 # 16 bytes per path each: about 1 GB at n=11 and 7 GB at n=12.
 SAMPLED_BOUND = 11

@@ -5,9 +5,7 @@ alone (the sampled suites also take their sample count), and returns a
 SuiteResult listing every check with its outcome.
 The suites use public predicates and the brute-force oracles, so a
 passing run is an end-to-end cross-check of the construction engine
-rather than a tautology.  One exception: the paths suite reads first and
-second vertices from construct._frame and last vertices from
-construct._family (_fsl_sets), as the level step reads them.
+rather than a tautology.
 """
 
 from __future__ import annotations
@@ -120,13 +118,10 @@ def suite_lattice(level: int) -> SuiteResult:
     bad = 0
     for m in range(max_len + 1):
         for k in range(m + 1):
-            for tag, codes in lattice._sweep(m, k).items():
-                if tag == lattice.NONE:
-                    continue
-                end = 2 * k - m
+            end = 2 * k - m
+            for tag, recompose in glue.items():
                 in_domain = tag == D_EQ0 or end >= (2 if tag == D_GT0 else 0)
-                for code in codes:
-                    p = lattice.phi(code, m)
+                for p in enumerate_class(m, k, tag):
                     try:
                         d = lattice.decompose(p)
                     except ValueError:
@@ -134,7 +129,7 @@ def suite_lattice(level: int) -> SuiteResult:
                     except AssertionError:
                         bad += 1
                     else:
-                        bad += glue[tag](d) != p
+                        bad += recompose(d) != p
     res.add("decompose recomposition", bad == 0, f"{bad} failures")
     return res
 
@@ -247,12 +242,9 @@ def _state_sample(level: int):
     return [state_for_prefix(p) for p in sorted(prefixes)]
 
 
-def _fsl_sets(state, k: int) -> tuple[set[int], set[int], set[int]]:
-    """First, second and last vertex sets of family k, read as the level
-    step reads them: the first two from the level's frame, the last from
-    the state."""
-    firsts, seconds = construct._frame(state.n, k)
-    return set(firsts), set(seconds), set(construct._family(state, k, False))
+def _fsl_sets(fam) -> tuple[set[int], set[int], set[int]]:
+    """First, second and last vertex sets of a family of full paths."""
+    return {p[0] for p in fam}, {p[1] for p in fam}, {p[-1] for p in fam}
 
 
 def suite_paths(level: int) -> SuiteResult:
@@ -271,7 +263,7 @@ def suite_paths(level: int) -> SuiteResult:
             label = f"n={n} state {si}"
             fams = state.families
             for k, fam in fams.items():
-                F, S, L = _fsl_sets(state, k)
+                F, S, L = _fsl_sets(fam)
                 img = lambda vs: {lattice.phi(v, m) for v in vs}
                 res.add(
                     f"{label} endpoint classes k={k}",
@@ -303,15 +295,14 @@ def suite_paths(level: int) -> SuiteResult:
                 if k == n:
                     res.add(f"{label} middle coverage", vs == layers[n] | layers[n + 1])
                     continue
-                _, S_below, _ = _fsl_sets(state, k - 1)
+                _, S_below, _ = _fsl_sets(fams[k - 1])
                 res.add(
                     f"{label} upper coverage k={k}",
                     layers[k + 1] <= vs and layers[k] - vs == S_below,
                 )
 
         # the map built from each final alpha keeps the endpoint sets fixed
-        state = state_for_prefix(_all_zero(n - 1))
-        F, _, L = _fsl_sets(state, n)
+        F, _, L = _fsl_sets(state_for_prefix(_all_zero(n - 1)).families[n])
         bad = []
         for alpha in alpha_vectors(n):
             if {f_alpha(alpha, v) for v in F} != F:

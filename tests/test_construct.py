@@ -43,7 +43,7 @@ def test_base_state():
 
 
 def test_base_state_fsl():
-    F, S, L = _fsl_sets(state_for_prefix(()), 1)
+    F, S, L = _fsl_sets(state_for_prefix(()).families[1])
     assert (F, S, L) == ({bits("10")}, {bits("11")}, {bits("01")})
 
 
@@ -90,7 +90,7 @@ def test_split_level_one():
 
 def test_level_two_fsl_example():
     s2 = state_for_prefix(((),))
-    F, _, _ = _fsl_sets(s2, 2)
+    F, _, _ = _fsl_sets(s2.families[2])
     assert F == {bits("1010"), bits("1100")}
 
 
@@ -235,9 +235,9 @@ def test_full_paths_end_at_their_triples():
 def test_alpha_tables_match_f_alpha():
     # fb finds the middle path that starts at f_alpha of each first vertex,
     # lb ranks the inverse of f_alpha on each D_MINUS word; only the
-    # all-zero and the all-one alpha are filled from f_alpha's image
-    # tables, every other alpha is composed by pair swaps from the nearest
-    # alpha whose tables the level already holds
+    # all-zero alpha is filled from f_alpha's image tables, every other
+    # alpha is composed by pair swaps from the nearest alpha whose tables
+    # the level already holds
     def check(n, alpha):
         dyck = construct._frame(n, n)[0]
         lasts = sorted(lattice.dminus_bitstrings(2 * n))
@@ -312,7 +312,7 @@ def test_pair_swaps_match_the_words():
     # the other half conjugated by the all-zero alpha's image; each must be
     # the pair swap of its alpha entry on the words of its side
     for n in range(2, 10):
-        firsts, _, (fswaps, _), (lswaps, _) = construct._level_tables(n)
+        firsts, _, fswaps, lswaps, _ = construct._level_tables(n)
         units = [pair_mask((0,) * i + (1,) + (0,) * (n - 2 - i)) for i in range(n - 1)]
         for words, swaps in (
             (firsts, fswaps),
@@ -457,15 +457,16 @@ def test_pair_swap_off_the_endpoints_is_a_construction_error(monkeypatch, fresh_
 @pytest.mark.deadline(20)
 def test_level_record_is_bounded_in_bytes(fresh_tables):
     # every level a process reaches keeps its whole record: C_9 = 4862
-    # first vertices, the rank dict of the D_MINUS words and, per word
-    # set, one 2-byte pair-swap table per alpha index and the two base
-    # tables; the ints themselves are the lattice's words and the ranks
+    # first vertices, the rank dict of the D_MINUS words, per word set one
+    # 2-byte pair-swap table per alpha index, and a store that starts with
+    # the two base tables of the all-zero alpha; the ints themselves are
+    # the lattice's words and the ranks
     record = construct._level_tables(9)
-    firsts, rank, *sides = record
-    arrays = [t for swaps, _ in sides for t in swaps]
-    bases = [t for _, pair in sides for t in pair]
-    assert len(sides) == 2 and len(arrays) == 2 * 8 and len(bases) == 2 * 2
-    assert {len(t) for t in [firsts, rank, *arrays, *bases]} == {4862}
+    firsts, rank, fswaps, lswaps, store = record
+    assert list(store) == [0]
+    bases = store[0]
+    assert len(fswaps) == len(lswaps) == 8 and len(bases) == 2
+    assert {len(t) for t in [firsts, rank, *fswaps, *lswaps, *bases]} == {4862}
 
     def size(obj):
         inner = sum(map(size, obj)) if isinstance(obj, tuple) else 0
@@ -474,10 +475,12 @@ def test_level_record_is_bounded_in_bytes(fresh_tables):
     # a list built by appending over-allocates by up to an eighth, and a
     # dict with int keys holds 24 bytes per entry in a table at most 2/3
     # full, plus 2-byte indices: 32 bytes per entry at 4862 entries
-    lists = (1 + 4) * 8 * 9 // 8  # firsts and the four base tables
-    # the record, firsts and rank; per word set three tuples, 8 arrays, 2 lists
-    objects = 3 + 2 * (3 + 8 + 2)
-    assert size(record) <= (lists + 32 + 2 * 8 * 2) * 4862 + 128 * objects
+    lists = (1 + 2) * 8 * 9 // 8  # firsts and the two base tables
+    # the record, firsts, rank, the store and its entry; per word set one
+    # tuple, 8 arrays and 1 list
+    objects = 5 + 2 * (1 + 8 + 1)
+    total = size(record) + size(bases)  # the store's dict holds its entry
+    assert total <= (lists + 32 + 2 * 8 * 2) * 4862 + 128 * objects
 
 
 def test_wrong_first_vertex_is_a_construction_error(monkeypatch, fresh_tables):

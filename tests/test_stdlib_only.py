@@ -42,3 +42,35 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.name, line, name) for name, line in imported.items() if name not in used]
     assert sorted(unused) == []
+
+
+def test_no_module_reads_another_modules_private_names():
+    # an underscored name belongs to its module; the one exception is the
+    # level step, with which the sweep steps each child from one shared
+    # parent state
+    allowed = {("search.py", "construct", "_advance")}
+    modules = {path.stem for path, _ in SOURCES}
+    read = set()
+    for path, tree in SOURCES:
+        aliases = {}  # local name -> package module
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not node.level and not node.module.startswith("midlayer"):
+                continue
+            source = (node.module or "midlayer").rpartition(".")[2]
+            for a in node.names:
+                if source == "midlayer" and a.name in modules:
+                    aliases[a.asname or a.name] = a.name
+                elif source in modules and a.name.startswith("_"):
+                    read.add((path.name, source, a.name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                read.add((path.name, aliases[node.value.id], node.attr))
+    assert sorted(read) == sorted(allowed)

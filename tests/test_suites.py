@@ -125,6 +125,24 @@ def test_paths_suite_fails_on_a_missing_vertex(monkeypatch):
     ]
 
 
+def test_paths_suite_fails_on_a_wrong_endpoint(monkeypatch):
+    # one level-2 middle path loses its last vertex, so it ends at a word
+    # of weight 3, not at a D_MINUS word of weight 2; the suite reads the
+    # endpoints from the families it is given, so it must see that
+    real = construct.ConstructionState.families
+
+    def spoiled(state):
+        fams = real.fget(state)
+        if state.n == 2:
+            fams[2] = (fams[2][0][:-1],) + fams[2][1:]
+        return fams
+
+    monkeypatch.setattr(construct.ConstructionState, "families", property(spoiled))
+    res = suites.suite_paths(3)
+    failed = [name for name, passed, _ in res.checks if not passed]
+    assert "n=2 state 0 endpoint classes k=2" in failed
+
+
 def test_distinct_suite_small():
     _assert_pinned("distinct")
 
